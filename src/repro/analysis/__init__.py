@@ -8,7 +8,7 @@ anything executes.  Seven rule families ship today:
 * ``determinism.*`` + ``hygiene.*`` — no wall clocks, no unseeded RNG,
   no set-iteration in replay paths (:mod:`repro.analysis.determinism`);
 * ``abi.*`` — the embedded C kernels, their hand-written ctypes
-  declarations and the pure-Python fallback backends stay
+  declarations and the scalar oracle's cache/TLB classes stay
   layout- and signature-identical (:mod:`repro.analysis.abi`);
 * ``keys.*`` — every result-affecting knob reaches the persistent
   store key, and result-shape modules cannot change without a

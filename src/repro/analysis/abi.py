@@ -1,4 +1,4 @@
-"""Kernel ABI parity: C prototypes vs ctypes declarations vs fallbacks.
+"""Kernel ABI parity: C prototypes vs ctypes declarations vs references.
 
 ``src/repro/arch/native.py`` embeds ~300 lines of C (``_C_SOURCE``)
 and declares each exported kernel's ``argtypes``/``restype`` by hand.
@@ -25,13 +25,13 @@ module makes the contract static:
     the ``stats4`` stride must agree with it.
 
 ``abi.backend-parity``
-    The three cache backends (`SetAssocCache` — the scalar oracle —
-    `VectorCache`, `NativeCache`) and the two TLBs (`Tlb`, `NativeTlb`)
-    are interchangeable inside the replay engines, so the native
-    classes must expose every public method of their pure-Python
-    contract with identical positional parameter names, and matching
-    property-ness.  (The equivalence suite proves value equality at
-    runtime; this rule proves the *call surface* cannot drift.)
+    The two cache backends (`SetAssocCache` — the scalar oracle — and
+    `NativeCache`) and the two TLBs (`Tlb`, `NativeTlb`) are
+    interchangeable inside the replay engines, so the native classes
+    must expose every public method of their pure-Python contract with
+    identical positional parameter names, and matching property-ness.
+    (The equivalence suite proves value equality at runtime; this rule
+    proves the *call surface* cannot drift.)
 
 The comparison helpers take explicit source text/trees so the test
 suite can inject deliberate mismatches without touching the real
@@ -56,17 +56,10 @@ from repro.analysis.core import (
 
 _NATIVE_REL = "src/repro/arch/native.py"
 
-#: (reference class, implementing classes, source of kernel extensions)
-_CACHE_CONTRACT = (
-    ("src/repro/arch/cache.py", "SetAssocCache"),
-    (
-        ("src/repro/arch/vector_cache.py", "VectorCache"),
-        (_NATIVE_REL, "NativeCache"),
-    ),
-)
-_TLB_CONTRACT = (
-    ("src/repro/arch/tlb.py", "Tlb"),
-    ((_NATIVE_REL, "NativeTlb"),),
+#: ((reference file, reference class), native class) per contract.
+_BACKEND_CONTRACTS = (
+    (("src/repro/arch/cache.py", "SetAssocCache"), "NativeCache"),
+    (("src/repro/arch/tlb.py", "Tlb"), "NativeTlb"),
 )
 
 #: Dunders that are part of the backend contract when the reference
@@ -458,34 +451,19 @@ def _class_line(tree: ast.Module, class_name: str) -> int:
 def check_backend_parity(ctx: RepoContext) -> List[Finding]:
     """Cache and TLB backend surfaces must match their references."""
     findings: List[Finding] = []
-    for (ref_rel, ref_cls), impls in (_CACHE_CONTRACT, _TLB_CONTRACT):
+    impl_src = ctx.file(_NATIVE_REL)
+    if impl_src is None or impl_src.tree is None:
+        return findings
+    for (ref_rel, ref_cls), impl_cls in _BACKEND_CONTRACTS:
         ref_src = ctx.file(ref_rel)
         if ref_src is None or ref_src.tree is None:
             continue
-        reference = class_signatures(ref_src.tree, ref_cls)
-        kernel_ref: Dict[str, MethodSig] = {}
-        kernel_ref_label = None
-        for impl_rel, impl_cls in impls:
-            impl_src = ctx.file(impl_rel)
-            if impl_src is None or impl_src.tree is None:
-                continue
-            sigs = class_signatures(impl_src.tree, impl_cls)
-            findings.extend(compare_backends(
-                reference, sigs, ref_cls, impl_cls, impl_rel,
-                _class_line(impl_src.tree, impl_cls),
-            ))
-            # The first implementation (VectorCache) defines the batch
-            # kernel extension surface the others must also carry.
-            kernels = {
-                n: s for n, s in sigs.items() if n.startswith("kernel_")
-            }
-            if kernel_ref_label is None:
-                kernel_ref, kernel_ref_label = kernels, impl_cls
-            elif kernels or kernel_ref:
-                findings.extend(compare_backends(
-                    kernel_ref, sigs, kernel_ref_label, impl_cls, impl_rel,
-                    _class_line(impl_src.tree, impl_cls),
-                ))
+        findings.extend(compare_backends(
+            class_signatures(ref_src.tree, ref_cls),
+            class_signatures(impl_src.tree, impl_cls),
+            ref_cls, impl_cls, _NATIVE_REL,
+            _class_line(impl_src.tree, impl_cls),
+        ))
     return findings
 
 

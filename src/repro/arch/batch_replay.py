@@ -25,12 +25,11 @@ vectorized over the entire schedule:
 
 Execution happens in *epochs* — contiguous segment ranges with no
 intervening purge/flush.  Within an epoch the private L1 and TLB of
-each representative core service one batch kernel call, and each L2
-slice services one call over the merged (cross-context, trace-ordered)
-miss stream, using kernel variants that report per-event writeback and
-miss flags so every counter can be attributed back to its segment (on
-the compiled backend a single multi-slice kernel call services every
-slice's part of the sorted stream).
+each representative core service one batch kernel call, and one
+multi-slice kernel call services every L2 slice's part of the merged
+(cross-context, trace-ordered, home-sorted) miss stream, using kernel
+variants that report per-event writeback and miss flags so every
+counter can be attributed back to its segment.
 Purge events (MI6's per-crossing flushes) act as epoch barriers: the
 machine replays up to the barrier, applies the purge against the live
 cache state, and continues.  Epochs are chosen maximal — exactly one
@@ -64,6 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.hierarchy import MemoryHierarchy, ProcessContext, TraceResult
+from repro.arch.native import multi_slice_flags_wb
 
 
 @dataclass
@@ -99,7 +99,6 @@ class BatchReplayer:
             raise ValueError("BatchReplayer requires the vector replay engine")
         self.hier = hier
         self.segments = list(segments)
-        self._native = hier.backend == "native"
         self._plan()
 
     # ------------------------------------------------------------------
@@ -353,12 +352,8 @@ class BatchReplayer:
         offsets (one slice per part, plus the end sentinel).  Thin
         wrapper over :func:`repro.arch.native.multi_slice_flags_wb` —
         the shared compiled dispatch — returning (hit flags, writeback
-        positions) in sorted-stream coordinates.  Bit-identical —
-        flags, stats, occupancy and cache contents — to one
-        ``kernel_hit_flags_wb`` call per slice.
+        positions) in sorted-stream coordinates.
         """
-        from repro.arch.native import multi_slice_flags_wb
-
         caches = [self.hier.l2_slice(int(hs[a])) for a in bounds[:-1]]
         flags, wb_pos, _ = multi_slice_flags_wb(
             caches, bounds, lines_sorted, writes_sorted
@@ -432,40 +427,9 @@ class BatchReplayer:
             l1 = hier.l1_for(core)
             lines_c = ev_plines[idx_core]
             writes_c = ev_writes[idx_core]
-            if hier.backend == "native":
-                miss_rel, wb_rel = l1.kernel_filter_misses_wb(lines_c, writes_c)
-                miss_rel = np.asarray(miss_rel, dtype=np.intp)
-                wb_rel = np.asarray(wb_rel, dtype=np.intp)
-            else:
-                # Sticky-hit compression with per-segment scope: an event
-                # whose line equals the previous access to the same L1
-                # set *within its segment* is a guaranteed hit that
-                # cannot change LRU order; drop it from the kernel batch,
-                # OR-ing its write flag into the surviving base event.
-                sets_c = lines_c & l1._set_mask
-                key = ev_rel[idx_core] * np.int64(l1.n_sets) + sets_c
-                order = np.argsort(key, kind="stable")
-                so_key = key[order]
-                so_lines = lines_c[order]
-                newgrp = np.empty(len(order), dtype=bool)
-                newgrp[0] = True
-                np.logical_or(
-                    so_key[1:] != so_key[:-1], so_lines[1:] != so_lines[:-1],
-                    out=newgrp[1:],
-                )
-                starts = np.flatnonzero(newgrp)
-                w_eff = np.maximum.reduceat(writes_c[order], starts)
-                base_rel = order[starts]
-                srt = np.argsort(base_rel)
-                kern_rel = base_rel[srt]
-                dropped = len(order) - len(kern_rel)
-                if dropped:
-                    l1.stats.hits += dropped
-                miss_k, wb_k = l1.kernel_filter_misses_wb(
-                    lines_c[kern_rel], w_eff[srt]
-                )
-                miss_rel = kern_rel[np.asarray(miss_k, dtype=np.intp)]
-                wb_rel = kern_rel[np.asarray(wb_k, dtype=np.intp)]
+            miss_rel, wb_rel = l1.kernel_filter_misses_wb(lines_c, writes_c)
+            miss_rel = np.asarray(miss_rel, dtype=np.intp)
+            wb_rel = np.asarray(wb_rel, dtype=np.intp)
             l1_miss_seg += bucket(ev_rel[idx_core[miss_rel]])
             if len(wb_rel):
                 l1_wb_seg += bucket(ev_rel[idx_core[wb_rel]])
@@ -500,33 +464,16 @@ class BatchReplayer:
             np.not_equal(hs[1:], hs[:-1], out=segb[1:])
             bounds = np.flatnonzero(segb).tolist()
             bounds.append(n_miss)
-            if self._native:
-                # Native backend: one multi-slice kernel call replays
-                # every slice's part of the sorted stream — the
-                # per-slice FFI dispatch is the dominant per-epoch
-                # fixed cost on short (MI6-style) epochs.
-                hit_sorted, wb_sorted = self._l2_multi(
-                    hs, bounds, lines_m[horder], writes_m[horder]
-                )
-                if len(wb_sorted):
-                    l2_wb_seg += np.bincount(
-                        rel_m[horder[wb_sorted]], minlength=n_out
-                    ).astype(np.int64)
-            else:
-                hit_sorted = np.empty(n_miss, dtype=np.int8)
-                for a, b in zip(bounds[:-1], bounds[1:]):
-                    home = int(hs[a])
-                    l2 = hier.l2_slice(home)
-                    part = horder[a:b]
-                    flags_p, wb_p = l2.kernel_hit_flags_wb(
-                        lines_m[part], writes_m[part]
-                    )
-                    hit_sorted[a:b] = np.asarray(flags_p, dtype=np.int8)
-                    wb_p = np.asarray(wb_p, dtype=np.intp)
-                    if len(wb_p):
-                        l2_wb_seg += np.bincount(
-                            rel_m[part[wb_p]], minlength=n_out
-                        ).astype(np.int64)
+            # One multi-slice kernel call replays every slice's part of
+            # the sorted stream — per-slice FFI dispatch would be the
+            # dominant per-epoch fixed cost on short (MI6-style) epochs.
+            hit_sorted, wb_sorted = self._l2_multi(
+                hs, bounds, lines_m[horder], writes_m[horder]
+            )
+            if len(wb_sorted):
+                l2_wb_seg += np.bincount(
+                    rel_m[horder[wb_sorted]], minlength=n_out
+                ).astype(np.int64)
             l2_hit = np.empty(n_miss, dtype=np.int8)
             l2_hit[horder] = hit_sorted
             hitmask = l2_hit.astype(bool)

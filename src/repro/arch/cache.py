@@ -101,9 +101,8 @@ class SetAssocCache:
 
     Occupancy (valid and dirty line counts) is tracked incrementally on
     every access, so the purge models read it in O(1) instead of
-    scanning every set — the same contract every cache backend
-    implements (see :class:`repro.arch.vector_cache.VectorCache` and
-    :class:`repro.arch.native.NativeCache`).
+    scanning every set — the same contract the compiled backend
+    implements (see :class:`repro.arch.native.NativeCache`).
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache"):

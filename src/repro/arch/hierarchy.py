@@ -27,8 +27,9 @@ L1 hits; the replayer therefore simulates only line-change events and
 credits the rest as hits, which cuts Python-loop work several-fold
 without changing any counter.
 
-*Replay engines.*  ``SystemConfig.replay_engine`` selects between two
-implementations of the event replay:
+*Replay engines.*  ``SystemConfig.replay_engine`` requests one of two
+implementations of the event replay; :func:`resolve_engine` decides,
+once per hierarchy, which one actually runs:
 
 ``scalar``
     The reference oracle: one Python-level ``SetAssocCache.access`` call
@@ -37,19 +38,18 @@ implementations of the event replay:
 ``vector``
     The batched engine.  Translation, homing, TLB page-change detection
     and all latency arithmetic are vectorized with NumPy; cache events
-    run through :class:`repro.arch.vector_cache.VectorCache` batch
-    kernels — the full event list filters through the L1 once, and the
-    surviving misses are segmented by home slice and replayed per slice.
-    A second, *sticky-hit* compression pass removes events whose line
-    equals the previous access to the same L1 set (guaranteed hits that
-    cannot change LRU order), with their write flags OR-ed into the
-    surviving base event.  Both engines produce bit-identical
-    :class:`TraceResult` counters, cache contents and stats; the
-    equivalence suite in ``tests/test_replay_equivalence.py`` enforces
-    this.  To keep the cycle arithmetic independent of summation order,
-    cluster-average hop distances are quantized to 1/64 of a hop, which
-    makes every latency term a dyadic rational that float64 accumulates
-    exactly.
+    run through the compiled :class:`repro.arch.native.NativeCache`
+    batch kernels — the full event list filters through the L1 once,
+    and the surviving misses are segmented by home slice and replayed
+    per slice.  Without a C toolchain a ``vector`` configuration runs
+    the scalar oracle instead.
+
+Both engines produce bit-identical :class:`TraceResult` counters, cache
+contents and stats; the equivalence suite in
+``tests/test_replay_equivalence.py`` enforces this.  To keep the cycle
+arithmetic independent of summation order, cluster-average hop
+distances are quantized to 1/64 of a hop, which makes every latency
+term a dyadic rational that float64 accumulates exactly.
 """
 
 from __future__ import annotations
@@ -67,11 +67,24 @@ from repro.arch.memory_controller import MemoryController
 from repro.arch.mesh import MeshTopology
 from repro.arch.native import NativeCache, NativeTlb, native_available
 from repro.arch.tlb import Tlb
-from repro.arch.vector_cache import VectorCache
 from repro.config import SystemConfig
 from repro.errors import CacheIsolationViolation, ConfigError
 
-AnyCache = Union[SetAssocCache, VectorCache, NativeCache]
+AnyCache = Union[SetAssocCache, NativeCache]
+
+
+def resolve_engine(config: SystemConfig) -> str:
+    """The replay engine a hierarchy built from ``config`` runs.
+
+    ``vector`` needs the compiled kernels; without them a ``vector``
+    configuration runs the scalar oracle, which is bit-identical by
+    contract, only slower.  Every engine dispatch reads this value
+    (via :attr:`MemoryHierarchy.engine`), never
+    ``config.replay_engine`` directly.
+    """
+    if config.replay_engine == "vector" and native_available():
+        return "vector"
+    return "scalar"
 
 
 @dataclass
@@ -194,13 +207,10 @@ class MemoryHierarchy:
 
     def __init__(self, config: SystemConfig, mesh: Optional[MeshTopology] = None):
         self.config = config
-        self.engine = config.replay_engine
-        if self.engine == "vector":
-            self.backend = "native" if native_available() else "python"
-            self._cache_cls = NativeCache if self.backend == "native" else VectorCache
-        else:
-            self.backend = "python"
-            self._cache_cls = SetAssocCache
+        self.engine = resolve_engine(config)
+        vector = self.engine == "vector"
+        self._cache_cls = NativeCache if vector else SetAssocCache
+        self._tlb_cls = NativeTlb if vector else Tlb
         self.mesh = mesh or MeshTopology(
             config.mesh_rows, config.mesh_cols, config.mem.n_controllers
         )
@@ -241,11 +251,10 @@ class MemoryHierarchy:
             self._l1[core] = cache
         return cache
 
-    def tlb_for(self, core: int):
+    def tlb_for(self, core: int) -> Union[Tlb, NativeTlb]:
         tlb = self._tlb.get(core)
         if tlb is None:
-            tlb_cls = NativeTlb if self.backend == "native" else Tlb
-            tlb = tlb_cls(self.config.tlb, f"TLB[{core}]")
+            tlb = self._tlb_cls(self.config.tlb, f"TLB[{core}]")
             self._tlb[core] = tlb
         return tlb
 
@@ -396,8 +405,8 @@ class MemoryHierarchy:
 
         ``addrs`` is a 1-D int64 array of byte addresses; ``writes`` an
         optional boolean/int array of the same length (default: reads).
-        The replay implementation is selected by the configuration's
-        ``replay_engine`` flag; both engines return identical counters.
+        The replay implementation is the resolved :attr:`engine`; both
+        engines return identical counters.
         """
         result = TraceResult()
         n = len(addrs)
@@ -628,42 +637,11 @@ class MemoryHierarchy:
         tlb_misses = tlb.access_batch(ev_vpages[pchange])
 
         l1_snap = l1.stats.snapshot()
-        if self.backend == "native":
-            # The compiled kernel walks all events directly.
-            miss_pos = l1.kernel_filter_misses(ev_plines, ev_writes)
-            miss_idx_arr = np.asarray(miss_pos, dtype=np.intp)
-            sticky_hits = 0
-            kern_events = n_events
-        else:
-            # Sticky-hit compression: an event whose line equals the
-            # previous access to the same L1 set is a guaranteed hit and
-            # cannot change the set's LRU order (the line is already
-            # MRU); drop it from the kernel batch, OR-ing its write flag
-            # into the surviving base event so the final dirty state is
-            # identical.  Worth it only for the Python kernels, where
-            # each removed event saves real interpreter work.
-            sets_arr = ev_plines & l1._set_mask
-            order = np.argsort(sets_arr, kind="stable")
-            so_sets = sets_arr[order]
-            so_lines = ev_plines[order]
-            newgrp = np.empty(n_events, dtype=bool)
-            newgrp[0] = True
-            np.logical_or(
-                so_sets[1:] != so_sets[:-1], so_lines[1:] != so_lines[:-1],
-                out=newgrp[1:],
-            )
-            starts = np.flatnonzero(newgrp)
-            w_eff = np.maximum.reduceat(ev_writes[order], starts)
-            base_idx = order[starts]
-            srt = np.argsort(base_idx)
-            kern_idx = base_idx[srt]
-            sticky_hits = n_events - len(kern_idx)
-            kern_events = len(kern_idx)
-            miss_pos = l1.kernel_filter_misses(ev_plines[kern_idx], w_eff[srt])
-            l1.stats.hits += sticky_hits
-            miss_idx_arr = kern_idx[np.asarray(miss_pos, dtype=np.intp)]
-        l1_misses = len(miss_pos)
-        l1_hits = compressed_hits + sticky_hits + (kern_events - l1_misses)
+        miss_idx = np.asarray(
+            l1.kernel_filter_misses(ev_plines, ev_writes), dtype=np.intp
+        )
+        l1_misses = len(miss_idx)
+        l1_hits = compressed_hits + n_events - l1_misses
 
         l2_hits = 0
         l2_misses = 0
@@ -672,7 +650,6 @@ class MemoryHierarchy:
         l2_snaps = {}
 
         if l1_misses:
-            miss_idx = miss_idx_arr
             lines_m = ev_plines[miss_idx]
             homes_m = ev_homes[miss_idx]
             writes_m = ev_writes[miss_idx]

@@ -24,11 +24,11 @@ dirty propagation, eviction/writeback counting), so the equivalence
 suite holds regardless of which backend serviced a batch.
 
 Everything degrades gracefully: if no compiler is present or the build
-fails for any reason, :func:`native_available` returns False and the
-replay engine falls back to the pure-Python
-:class:`repro.arch.vector_cache.VectorCache` backend — but never
-silently: the compiler's stderr is reported once on the process's
-stderr and kept retrievable via :func:`build_error`.  No third-party
+fails for any reason, :func:`native_available` returns False and a
+``vector`` configuration runs the scalar oracle
+(:func:`repro.arch.hierarchy.resolve_engine`) — but never silently:
+the compiler's stderr is reported once on the process's stderr and
+kept retrievable via :func:`build_error`.  No third-party
 packages are involved — only ``ctypes`` and the system toolchain.
 
 Builds always use ``-Wall -Wextra`` (the kernels are warning-clean and
@@ -41,7 +41,7 @@ folded into the library digest.  Loading an ASan-instrumented library
 into a non-ASan interpreter requires the ASan runtime to be preloaded
 (``LD_PRELOAD=$(cc -print-file-name=libasan.so)``); without it the
 loader would abort the host process, so :func:`load_native` refuses the
-attempt and falls back instead.
+attempt and the scalar oracle runs instead.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ typedef int8_t  i8;
  * fills, so the caller can maintain the cache's dirty-line occupancy
  * incrementally (dirty_delta = dirtied - writebacks) and the purge
  * models never have to scan the matrices.  `n_wb` is only meaningful
- * for the _wb variants (0 otherwise).
+ * for l1_filter_wb (0 otherwise).
  *
  * l1_filter: records the indices of missing events in miss_pos and
  * returns how many there were.
@@ -157,7 +157,7 @@ i64 l2_flags(i64 n, const i64 *lines, const i8 *writes,
     return hits;
 }
 
-/* _wb variants: additionally record which events caused a dirty-line
+/* l1_filter_wb: additionally records which events caused a dirty-line
  * writeback (wb_pos, indices into the batch), so a batched replay can
  * attribute writebacks to the segment whose access evicted the line. */
 
@@ -184,30 +184,6 @@ i64 l1_filter_wb(i64 n, const i64 *lines, const i8 *writes,
     return n_miss;
 }
 
-i64 l2_flags_wb(i64 n, const i64 *lines, const i8 *writes,
-                i64 *tags, i8 *dirty, i64 *age, i64 *clock_io,
-                i64 set_mask, i64 assoc,
-                i8 *flags, i64 *wb_pos, i64 *stats_out)
-{
-    i64 clock = *clock_io, hits = 0, n_wb = 0, evictions = 0, writebacks = 0;
-    i64 dirtied = 0;
-    for (i64 k = 0; k < n; k++) {
-        i64 wb_before = writebacks;
-        i64 h = do_access(lines[k], writes[k], tags, dirty, age, &clock,
-                          set_mask, assoc, &evictions, &writebacks, &dirtied);
-        flags[k] = (i8)h;
-        hits += h;
-        if (writebacks != wb_before)
-            wb_pos[n_wb++] = k;
-    }
-    *clock_io = clock;
-    stats_out[0] = evictions;
-    stats_out[1] = writebacks;
-    stats_out[2] = n_wb;
-    stats_out[3] = dirtied;
-    return hits;
-}
-
 /* Multi-slice variant: one call services the whole home-sorted miss
  * stream of an epoch.  Part p covers stream positions
  * [bounds[p], bounds[p+1]) and replays through the slice whose state
@@ -215,8 +191,7 @@ i64 l2_flags_wb(i64 n, const i64 *lines, const i8 *writes,
  * (raw addresses, one entry per part).  Per part, stats4[4p..4p+3] =
  * {evictions, writebacks, hits, dirtied}; wb_pos collects the
  * positions (into the sorted stream) of dirty-line writebacks across
- * all parts; returns their count.  Bit-identical to one l2_flags_wb
- * call per part. */
+ * all parts; returns their count. */
 
 i64 l2_flags_wb_multi(i64 n_parts, const i64 *bounds,
                       const i64 *tags_ptrs, const i64 *dirty_ptrs,
@@ -388,9 +363,10 @@ def _load() -> Optional[ctypes.CDLL]:
     for fn in (lib.l1_filter, lib.l2_flags):
         fn.restype = i64
         fn.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
-    for fn in (lib.l1_filter_wb, lib.l2_flags_wb):
-        fn.restype = i64
-        fn.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr]
+    lib.l1_filter_wb.restype = i64
+    lib.l1_filter_wb.argtypes = [
+        i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr
+    ]
     lib.l2_flags_wb_multi.restype = i64
     lib.l2_flags_wb_multi.argtypes = [
         i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr
@@ -416,8 +392,8 @@ def load_native() -> Optional[ctypes.CDLL]:
     """Build/load the kernel library; returns None when impossible.
 
     A failed build or load is reported once on stderr (full compiler
-    diagnostics included) and remembered in :func:`build_error`; the
-    replay engine then falls back to the pure-Python backend.
+    diagnostics included) and remembered in :func:`build_error`; a
+    ``vector`` configuration then runs the scalar oracle.
     """
     global _lib, _load_attempted, _build_error
     if _load_attempted:
@@ -430,8 +406,8 @@ def load_native() -> Optional[ctypes.CDLL]:
     except Exception as exc:
         _build_error = str(exc)
         print(
-            "repro.arch.native: falling back to the pure-Python replay "
-            f"backend: {_build_error}",
+            "repro.arch.native: compiled kernels unavailable, the vector "
+            f"engine runs the scalar oracle: {_build_error}",
             file=sys.stderr,
         )
         _lib = None
@@ -441,9 +417,8 @@ def load_native() -> Optional[ctypes.CDLL]:
 class NativeCache:
     """Matrix-backed LRU cache serviced by the compiled batch kernels.
 
-    API-compatible with :class:`repro.arch.cache.SetAssocCache` and
-    :class:`repro.arch.vector_cache.VectorCache`; see the module
-    docstring for the state layout.
+    API-compatible with :class:`repro.arch.cache.SetAssocCache`; see
+    the module docstring for the state layout.
     """
 
     def __init__(self, config: CacheConfig, name: str = "ncache"):
@@ -551,26 +526,6 @@ class NativeCache:
         st.misses += n_miss
         self._fold_batch_stats(st, n_miss)
         return miss_pos[:n_miss], wb_pos[: int(self._stats_out[2])]
-
-    def kernel_hit_flags_wb(
-        self, lines: np.ndarray, writes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`kernel_hit_flags`, also returning writeback positions."""
-        n = len(lines)
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        writes = np.ascontiguousarray(writes, dtype=np.int8)
-        flags = np.empty(n, dtype=np.int8)
-        wb_pos = np.empty(n, dtype=np.int64)
-        hits = self._lib.l2_flags_wb(
-            n, lines.ctypes.data, writes.ctypes.data,
-            *self._state_ptrs, self._set_mask, self.assoc,
-            flags.ctypes.data, wb_pos.ctypes.data, self._stats_ptr,
-        )
-        st = self.stats
-        st.hits += int(hits)
-        st.misses += n - int(hits)
-        self._fold_batch_stats(st, n - int(hits))
-        return flags, wb_pos[: int(self._stats_out[2])]
 
     # ------------------------------------------------------------------
     # SetAssocCache-compatible scalar API
@@ -742,8 +697,7 @@ def multi_slice_flags_wb(
 
     ``caches[p]`` services stream positions ``[bounds[p], bounds[p+1])``
     (all caches must share one geometry).  Folds each part's stats and
-    occupancy deltas into its cache — bit-identical to one
-    ``kernel_hit_flags_wb`` call per part — and returns
+    occupancy deltas into its cache and returns
     ``(hit_flags, wb_positions, stats4)``, the last being the raw
     per-part ``{evictions, writebacks, hits, dirtied}`` counters for
     callers that aggregate per-window numbers themselves.  This is the

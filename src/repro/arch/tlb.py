@@ -57,57 +57,6 @@ class Tlb:
         entries[vpage] = None
         return False
 
-    def access_batch(self, vpages) -> int:
-        """Look up a batch of pages; returns the number of misses.
-
-        Bit-identical to calling :meth:`access` per page (same stats,
-        same final entries and LRU order); used by the vector replay
-        engine, which feeds it only the page-change events of a trace.
-        """
-        if hasattr(vpages, "tolist"):  # ndarray -> plain ints
-            vpages = vpages.tolist()
-        entries = self._entries
-        capacity = self.config.entries
-        hits = 0
-        for vpage in vpages:
-            if vpage in entries:
-                entries.move_to_end(vpage)
-                hits += 1
-            else:
-                if len(entries) >= capacity:
-                    entries.popitem(last=False)
-                entries[vpage] = None
-        misses = len(vpages) - hits
-        self.stats.hits += hits
-        self.stats.misses += misses
-        return misses
-
-    def access_batch_flags(self, vpages) -> "list[int]":
-        """Look up a batch of pages; returns a per-event 1/0 miss flag.
-
-        Bit-identical state effects to :meth:`access_batch`; used by the
-        batched replay pipeline to attribute TLB misses per segment.
-        """
-        if hasattr(vpages, "tolist"):
-            vpages = vpages.tolist()
-        entries = self._entries
-        capacity = self.config.entries
-        flags: "list[int]" = []
-        hits = 0
-        for vpage in vpages:
-            if vpage in entries:
-                entries.move_to_end(vpage)
-                hits += 1
-                flags.append(0)
-            else:
-                if len(entries) >= capacity:
-                    entries.popitem(last=False)
-                entries[vpage] = None
-                flags.append(1)
-        self.stats.hits += hits
-        self.stats.misses += len(flags) - hits
-        return flags
-
     def lru_entries(self) -> "list[int]":
         """Resident pages ordered least- to most-recently used."""
         return [int(p) for p in self._entries]

@@ -128,8 +128,10 @@ class SystemConfig:
     ``replay_engine`` selects the trace-replay implementation used by
     :class:`repro.arch.hierarchy.MemoryHierarchy`: ``"scalar"`` is the
     original per-event reference loop, ``"vector"`` the batched engine
-    (see ``repro.arch.vector_cache``).  Both produce identical counters;
-    the scalar path is kept as the oracle for the equivalence suite.
+    over the compiled kernels (see ``repro.arch.native``); without a C
+    toolchain a ``"vector"`` configuration runs the scalar oracle.
+    Both produce identical counters; the scalar path is kept as the
+    oracle for the equivalence suite.
     """
 
     mesh_rows: int = 8

@@ -136,8 +136,10 @@ class Machine(abc.ABC):
         Interaction traces are materialized once per run as cached
         :class:`~repro.sim.bundle.TraceBundle`\\ s.  Under the scalar
         replay engine (the reference oracle) the interactions replay
-        one at a time; under the vector engine the whole run replays
-        through the interaction-batched pipeline.  Both paths consume
+        one at a time; under the vector engine — as resolved by the
+        hierarchy, so a host without compiled kernels takes the scalar
+        loop — the whole run replays through the interaction-batched
+        pipeline.  Both paths consume
         identical bundle bytes and return bit-identical results
         (``REPRO_NO_BATCH=1`` forces the per-interaction loop on the
         vector engine for debugging).
@@ -154,7 +156,7 @@ class Machine(abc.ABC):
         count = n - start
         b_sec = interaction_bundle(app, "secure", sec_proc, seed, start, count)
         b_ins = interaction_bundle(app, "insecure", ins_proc, seed, start, count)
-        if self.config.replay_engine == "vector" and not os.environ.get(
+        if self.hier.engine == "vector" and not os.environ.get(
             "REPRO_NO_BATCH"
         ):
             self._run_batched(

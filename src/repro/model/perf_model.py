@@ -26,16 +26,22 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.arch.address import VirtualMemory
-from repro.arch.hierarchy import MemoryHierarchy, ProcessContext, TraceResult
+from repro.arch.hierarchy import (
+    MemoryHierarchy,
+    ProcessContext,
+    TraceResult,
+    resolve_engine,
+)
+from repro.arch.native import NativeCache, multi_slice_flags_wb
 from repro.config import SystemConfig
 from repro.model.speedup import ScalabilityProfile
 from repro.sim.trace import Trace
 
 
 #: Scratch L2 pools for :func:`calibrate_l2_curve_batched`, keyed by
-#: backend class and L2 geometry; bounded LRU (pools hold full slice
-#: states, so config sweeps must not accumulate one pool per geometry
-#: forever).  :func:`clear_probe_pools` drops them all — wired into
+#: L2 geometry; bounded LRU (pools hold full slice states, so config
+#: sweeps must not accumulate one pool per geometry forever).
+#: :func:`clear_probe_pools` drops them all — wired into
 #: ``runner.clear_result_cache`` alongside the result-store layers.
 _PROBE_POOL_GEOMETRIES = 4
 _PROBE_L2_POOLS: "OrderedDict" = OrderedDict()
@@ -64,14 +70,16 @@ def calibrate_l2_curve(
 
     Under the scalar engine each probe replays through its own scratch
     hierarchy (the reference oracle, :func:`calibrate_l2_curve_oracle`).
-    Under the vector engine the whole curve is planned once: the
-    translation, TLB and private-L1 behaviour of the probe traces is
-    independent of the slice count, so one shared pass computes the L1
-    miss stream and every probe point replays only its own L2 state
-    (:func:`calibrate_l2_curve_batched`).  Both paths are bit-identical
-    per probe — enforced by ``tests/test_replay_equivalence.py``.
+    Under the vector engine (as resolved by
+    :func:`~repro.arch.hierarchy.resolve_engine`) the whole curve is
+    planned once: the translation, TLB and private-L1 behaviour of the
+    probe traces is independent of the slice count, so one shared pass
+    computes the L1 miss stream and every probe point replays only its
+    own L2 state (:func:`calibrate_l2_curve_batched`).  Both paths are
+    bit-identical per probe — enforced by
+    ``tests/test_replay_equivalence.py``.
     """
-    if config.replay_engine == "vector":
+    if resolve_engine(config) == "vector":
         return calibrate_l2_curve_batched(
             config, warm_trace, measure_trace, slice_counts
         )
@@ -217,12 +225,11 @@ def calibrate_l2_curve_batched(
     # come from per-window deltas, so the pool never leaks state or
     # counts across probes while saving one cache construction per
     # slice per probe point.  The pool is shared across curves of the
-    # same backend and L2 geometry (module-level, keyed below) — every
-    # curve starts by invalidating whatever the previous one left.  On
-    # the native backend each window issues one multi-slice kernel call
-    # over its home-sorted miss stream.
+    # same L2 geometry (module-level, keyed below) — every curve starts
+    # by invalidating whatever the previous one left.  Each window
+    # issues one multi-slice kernel call over its home-sorted miss
+    # stream.
     pool_key = (
-        hier._cache_cls.__name__,
         cfg.l2_slice.size_bytes,
         cfg.l2_slice.associativity,
         cfg.l2_slice.line_bytes,
@@ -235,12 +242,10 @@ def calibrate_l2_curve_batched(
     l2_caches = _PROBE_L2_POOLS.setdefault(pool_key, {})
     while len(_PROBE_L2_POOLS) > _PROBE_POOL_GEOMETRIES:
         _PROBE_L2_POOLS.popitem(last=False)
-    native = hier.backend == "native"
     for k in slice_counts:
         for cache in l2_caches.values():
             if cache.valid_lines:
                 cache.invalidate_all()
-        measure_snaps: Dict[int, object] = {}
         l2_wb_measure = 0
         hitmask = None
         homes_m = mcs_m = None
@@ -258,41 +263,23 @@ def calibrate_l2_curve_batched(
             np.not_equal(hs[1:], hs[:-1], out=bnd[1:])
             bounds = np.flatnonzero(bnd).tolist()
             bounds.append(n_miss)
-            if native:
-                from repro.arch.native import multi_slice_flags_wb
-
-                caches = []
-                for a in bounds[:-1]:
-                    home = int(hs[a])
-                    cache = l2_caches.get(home)
-                    if cache is None:
-                        cache = l2_caches[home] = hier._cache_cls(
-                            cfg.l2_slice, f"L2[{home}]"
-                        )
-                    caches.append(cache)
-                hit_sorted, _, stats4 = multi_slice_flags_wb(
-                    caches, bounds, lines[horder], writes[horder]
-                )
-                if si == 1:
-                    # Per-part writebacks of the measure window sum to
-                    # exactly what run_trace's per-slice stats deltas
-                    # would report.
-                    l2_wb_measure = int(stats4[1::4].sum())
-            else:
-                hit_sorted = np.empty(n_miss, dtype=np.int8)
-                for a, b in zip(bounds[:-1], bounds[1:]):
-                    home = int(hs[a])
-                    cache = l2_caches.get(home)
-                    if cache is None:
-                        cache = hier._cache_cls(cfg.l2_slice, f"L2[{home}]")
-                        l2_caches[home] = cache
-                    if si == 1 and home not in measure_snaps:
-                        measure_snaps[home] = cache.stats.snapshot()
-                    part = horder[a:b]
-                    hit_sorted[a:b] = cache.kernel_hit_flags(
-                        lines[part], writes[part]
+            caches = []
+            for a in bounds[:-1]:
+                home = int(hs[a])
+                cache = l2_caches.get(home)
+                if cache is None:
+                    cache = l2_caches[home] = NativeCache(
+                        cfg.l2_slice, f"L2[{home}]"
                     )
+                caches.append(cache)
+            hit_sorted, _, stats4 = multi_slice_flags_wb(
+                caches, bounds, lines[horder], writes[horder]
+            )
             if si == 1:
+                # Per-part writebacks of the measure window sum to
+                # exactly what run_trace's per-slice stats deltas would
+                # report.
+                l2_wb_measure = int(stats4[1::4].sum())
                 l2_hit = np.empty(n_miss, dtype=np.int8)
                 l2_hit[horder] = hit_sorted
                 hitmask = l2_hit.astype(bool)
@@ -331,13 +318,7 @@ def calibrate_l2_curve_batched(
                 }
         result.mem_cycles = int(mem_cycles)
         result.mc_requests = mc_requests
-        if native:
-            result.l2_writebacks = l2_wb_measure
-        else:
-            result.l2_writebacks = sum(
-                l2_caches[home].stats.delta(snap).writebacks
-                for home, snap in measure_snaps.items()
-            )
+        result.l2_writebacks = l2_wb_measure
         results[k] = result
     return results
 

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CacheConfig
 from repro.arch.cache import SetAssocCache
+from repro.arch.native import NativeCache, NativeTlb, native_available
+from repro.arch.tlb import Tlb
+from repro.config import CacheConfig, TlbConfig
 from repro.errors import ConfigError
+
+
+#: Parity checks against the compiled backend need its kernels built.
+native = pytest.mark.skipif(
+    not native_available(), reason="compiled kernels unavailable"
+)
 
 
 def make_cache(size=1024, assoc=2, line=64) -> SetAssocCache:
@@ -215,48 +225,79 @@ class TestFillSet:
         assert not cache.contains(primed[0])
         assert cache.contains(primed[1])
 
+    @native
     def test_primed_lines_agree_across_implementations(self):
-        from repro.arch.vector_cache import VectorCache
-
         cfg = CacheConfig(4096, 4, 64)
         a = SetAssocCache(cfg, "a")
-        b = VectorCache(cfg, "b")
+        b = NativeCache(cfg, "b")
         assert a.fill_set(5, 11) == b.fill_set(5, 11)
+        assert a.stats == b.stats
+        for s in range(a.n_sets):
+            assert a._sets[s] == b.set_entries(s)
 
 
-class TestVectorCacheParity:
-    """The dict-backed batch cache must mirror the reference model."""
+@native
+class TestNativeCacheParity:
+    """The compiled cache must mirror the reference model."""
 
     def test_scalar_access_parity(self):
-        from repro.arch.vector_cache import VectorCache
-
         cfg = CacheConfig(1024, 2, 64)
         ref = SetAssocCache(cfg, "ref")
-        vec = VectorCache(cfg, "vec")
-        import random
-
+        nat = NativeCache(cfg, "nat")
         rnd = random.Random(7)
         for _ in range(2000):
             line = rnd.randrange(64)
             w = rnd.random() < 0.3
-            assert ref.access(line, w) == vec.access(line, w)
-        assert ref.stats == vec.stats
-        assert ref.dirty_lines == vec.dirty_lines
+            assert ref.access(line, w) == nat.access(line, w)
+        assert ref.stats == nat.stats
+        assert ref.valid_lines == nat.valid_lines
+        assert ref.dirty_lines == nat.dirty_lines
         for s in range(ref.n_sets):
-            assert ref._sets[s] == vec.set_entries(s)
+            assert ref._sets[s] == nat.set_entries(s)
 
     def test_maintenance_op_parity(self):
-        from repro.arch.vector_cache import VectorCache
-
         cfg = CacheConfig(1024, 2, 64)
         ref = SetAssocCache(cfg, "ref")
-        vec = VectorCache(cfg, "vec")
+        nat = NativeCache(cfg, "nat")
         for line in range(20):
             ref.access(line, line % 2 == 0)
-            vec.access(line, line % 2 == 0)
-        assert ref.clean_all() == vec.clean_all()
-        assert ref.evict_line(4) == vec.evict_line(4)
-        assert ref.evict_line(4) == vec.evict_line(4) is False
-        assert sorted(ref.resident_lines()) == sorted(vec.resident_lines())
-        assert ref.invalidate_all() == vec.invalidate_all()
-        assert ref.stats == vec.stats
+            nat.access(line, line % 2 == 0)
+        assert ref.clean_all() == nat.clean_all()
+        assert ref.clean_all() == nat.clean_all() == 0
+        ref.access(12, True)
+        nat.access(12, True)
+        assert ref.evict_line(12) == nat.evict_line(12) is True
+        assert ref.evict_line(4) == nat.evict_line(4)
+        assert ref.evict_line(4) == nat.evict_line(4) is False
+        assert sorted(ref.resident_lines()) == sorted(nat.resident_lines())
+        assert ref.evict_line_range(8, 8) == nat.evict_line_range(8, 8)
+        assert ref.stats == nat.stats
+        assert (ref.valid_lines, ref.dirty_lines) == (
+            nat.valid_lines, nat.dirty_lines
+        )
+        assert ref.invalidate_all() == nat.invalidate_all()
+        assert ref.resident_lines() == nat.resident_lines() == []
+        assert ref.stats == nat.stats
+
+
+@native
+class TestNativeTlbParity:
+    """The compiled TLB must mirror the reference LRU TLB."""
+
+    def test_access_and_maintenance_parity(self):
+        cfg = TlbConfig(entries=8)
+        ref = Tlb(cfg, "ref")
+        nat = NativeTlb(cfg, "nat")
+        rnd = random.Random(11)
+        for step in range(600):
+            page = rnd.randrange(20)
+            assert ref.access(page) == nat.access(page)
+            if step % 97 == 0:
+                victim = rnd.randrange(20)
+                assert ref.invalidate_page(victim) == nat.invalidate_page(victim)
+            assert ref.lru_entries() == nat.lru_entries()
+        assert ref.stats == nat.stats
+        assert ref.occupancy == nat.occupancy
+        assert ref.invalidate_all() == nat.invalidate_all()
+        assert ref.lru_entries() == nat.lru_entries() == []
+        assert ref.stats == nat.stats

@@ -1,13 +1,16 @@
 """Scalar-vs-vector replay engine equivalence suite.
 
-The vector engine (either backend: compiled kernels or pure Python) must
-produce **bit-identical** results to the scalar reference oracle — every
+The vector engine (the compiled kernels) must produce **bit-identical**
+results to the scalar reference oracle — every
 :class:`TraceResult` counter including ``mem_cycles``, every cache's
 stats and resident lines (with LRU order and dirty flags), the TLB
 contents, and the replica-tracking sets — across random traces and the
 adversarial patterns that exercised historical bugs: write-heavy
 streams, purge-interleaved replay, page re-homing mid-stream, replicated
 hash-homed sharing and NUMA controller binding.
+
+Without a C toolchain a ``vector`` configuration runs the scalar oracle
+itself; :class:`TestNoCompilerPath` pins that resolution.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import pytest
 
 from repro.arch.address import VirtualMemory
 from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
-from repro.arch.native import native_available
 from repro.config import SystemConfig
 from repro.experiments.runner import ExperimentSettings, run_one
 from repro.machines import MACHINES, build_machine
@@ -28,18 +30,6 @@ from repro.workloads import get_app
 ALL_MACHINES = tuple(MACHINES)
 
 pytestmark = pytest.mark.equivalence
-
-BACKENDS = ["python"] + (["native"] if native_available() else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """Run each test against every available vector backend."""
-    if request.param == "python":
-        monkeypatch.setattr(
-            "repro.arch.hierarchy.native_available", lambda: False
-        )
-    return request.param
 
 
 def set_entries(cache, set_index):
@@ -110,21 +100,21 @@ def random_trace(rng, n, span=1 << 19, run_prob=0.5, write_frac=0.4):
 
 
 class TestTraceEquivalence:
-    def test_random_traces(self, backend, rng):
+    def test_random_traces(self, rng):
         pair = EnginePair()
         for _ in range(5):
             addrs, writes = random_trace(rng, int(rng.integers(1, 4000)))
             pair.run(addrs, writes)
             pair.assert_same_state()
 
-    def test_write_heavy(self, backend, rng):
+    def test_write_heavy(self, rng):
         pair = EnginePair()
         for _ in range(3):
             addrs, writes = random_trace(rng, 3000, write_frac=0.95)
             pair.run(addrs, writes)
         pair.assert_same_state()
 
-    def test_purge_interleaved(self, backend, rng):
+    def test_purge_interleaved(self, rng):
         pair = EnginePair()
         for i in range(6):
             addrs, writes = random_trace(rng, 1500)
@@ -134,7 +124,7 @@ class TestTraceEquivalence:
                 pair.assert_same_state()
         pair.assert_same_state()
 
-    def test_rehoming_interleaved(self, backend, rng):
+    def test_rehoming_interleaved(self, rng):
         pair = EnginePair()
         for i in range(4):
             addrs, writes = random_trace(rng, 1500, span=1 << 17)
@@ -147,7 +137,7 @@ class TestTraceEquivalence:
             assert hs.rehome_frames(frames, cs) == hv.rehome_frames(frames, cv)
             pair.assert_same_state()
 
-    def test_replication_hash_homed(self, backend, rng):
+    def test_replication_hash_homed(self, rng):
         pair = EnginePair(
             homing="hash", replication=True, slices=list(range(16)),
         )
@@ -157,22 +147,22 @@ class TestTraceEquivalence:
             pair.assert_same_state()
         assert res.accesses == 2500
 
-    def test_numa_mc(self, backend, rng):
+    def test_numa_mc(self, rng):
         pair = EnginePair(numa_mc=True, homing="hash", slices=list(range(16)))
         for _ in range(3):
             addrs, writes = random_trace(rng, 2000)
             pair.run(addrs, writes)
         pair.assert_same_state()
 
-    def test_empty_and_single(self, backend):
+    def test_empty_and_single(self):
         pair = EnginePair()
         res = pair.run(np.empty(0, dtype=np.int64))
         assert res.accesses == 0
         pair.run(np.asarray([4096], dtype=np.int64))
         pair.assert_same_state()
 
-    def test_sticky_streams(self, backend):
-        """Interleaved same-line streams (the sticky-compression case)."""
+    def test_sticky_streams(self):
+        """Interleaved same-line streams revisiting one L1 set."""
         a = np.asarray([0, 4096, 64, 0, 4096, 0, 4096, 128], dtype=np.int64)
         addrs = np.tile(a, 300) + 64 * np.repeat(
             np.arange(300, dtype=np.int64) % 7, len(a)
@@ -182,7 +172,7 @@ class TestTraceEquivalence:
         pair.run(addrs, writes)
         pair.assert_same_state()
 
-    def test_app_interaction_traces(self, backend, rng):
+    def test_app_interaction_traces(self, rng):
         pair = EnginePair(slices=list(range(16)), regions=(0, 1, 2, 3))
         for app_name in ("<AES, QUERY>", "<MEMCACHED, OS>"):
             app = get_app(app_name)
@@ -211,7 +201,7 @@ class TestFuzzEquivalence:
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    def test_fuzzed_random_traces(self, backend, config_name, seed):
+    def test_fuzzed_random_traces(self, config_name, seed):
         rng = np.random.default_rng(7_000 + seed)
         config = self.CONFIGS[config_name]()
         homing = "hash" if seed % 2 else "local"
@@ -241,7 +231,7 @@ class TestFuzzEquivalence:
 class TestBatchedReplayEquivalence:
     """``run_trace_batched`` vs the per-call loop (same engine)."""
 
-    def test_random_segments_match_per_call(self, backend, rng):
+    def test_random_segments_match_per_call(self, rng):
         for trial in range(3):
             n = int(rng.integers(1000, 6000))
             addrs, writes = random_trace(rng, n, span=1 << 18)
@@ -257,7 +247,7 @@ class TestBatchedReplayEquivalence:
             assert per == bat
             pair.assert_same_state()
 
-    def test_empty_segments_and_scalar_fallback(self, backend, rng):
+    def test_empty_segments_and_scalar_fallback(self, rng):
         addrs, writes = random_trace(rng, 500)
         bounds = [0, 0, 120, 120, 500]
         pair = EnginePair()
@@ -269,7 +259,7 @@ class TestBatchedReplayEquivalence:
         assert [r.accesses for r in bat] == [0, 120, 0, 380]
         pair.assert_same_state()
 
-    def test_replicated_segments(self, backend, rng):
+    def test_replicated_segments(self, rng):
         pair = EnginePair(homing="hash", replication=True, slices=list(range(16)))
         (hs, cs), (hv, cv) = pair.sides
         for _ in range(2):
@@ -290,7 +280,7 @@ class TestCalibrationEquivalence:
     The IRONHIDE calibration (``calibrate_l2_curve``) plans a whole
     probe curve at once under the vector engine; every probe point's
     :class:`TraceResult` must stay bit-identical to the per-probe
-    scratch-hierarchy oracle, on either backend.
+    scratch-hierarchy oracle.
     """
 
     APPS = ("<AES, QUERY>", "<MEMCACHED, OS>", "<TC, GRAPH>")
@@ -307,7 +297,7 @@ class TestCalibrationEquivalence:
             yield proc, warm, measure
 
     @pytest.mark.parametrize("app_name", APPS)
-    def test_batched_curve_matches_scalar_oracle(self, backend, app_name):
+    def test_batched_curve_matches_scalar_oracle(self, app_name):
         from repro.model.perf_model import (
             calibrate_l2_curve,
             calibrate_l2_curve_oracle,
@@ -380,7 +370,7 @@ class TestPurgePathOccupancy:
                 cache
             ), cache.name
 
-    def test_counters_track_replay_and_purge(self, backend, rng):
+    def test_counters_track_replay_and_purge(self, rng):
         pair = EnginePair()
         for i in range(5):
             addrs, writes = random_trace(rng, 2500, write_frac=0.6)
@@ -394,7 +384,7 @@ class TestPurgePathOccupancy:
                     assert hier.l1_for(ctx.rep_core).valid_lines == 0
                     assert hier.l2_dirty_lines(ctx.slices) == 0
 
-    def test_counters_track_rehoming(self, backend, rng):
+    def test_counters_track_rehoming(self, rng):
         pair = EnginePair()
         for i in range(3):
             addrs, writes = random_trace(rng, 1500, span=1 << 16)
@@ -408,7 +398,7 @@ class TestPurgePathOccupancy:
             for hier, ctx in pair.sides:
                 self._assert_counters(hier, ctx)
 
-    def test_clean_all_is_idempotent_and_cheap(self, backend, rng):
+    def test_clean_all_is_idempotent_and_cheap(self, rng):
         pair = EnginePair()
         addrs, writes = random_trace(rng, 2000, write_frac=0.9)
         pair.run(addrs, writes)
@@ -421,7 +411,7 @@ class TestPurgePathOccupancy:
         for hier, ctx in pair.sides:
             self._assert_counters(hier, ctx)
 
-    def test_purge_report_matches_recount(self, backend, rng):
+    def test_purge_report_matches_recount(self, rng):
         """PurgeModel dirty-drain accounting equals a state recount."""
         from repro.secure.purge import PurgeModel
 
@@ -444,7 +434,7 @@ class TestPurgePathOccupancy:
 
 
 class TestMachineEquivalence:
-    def test_full_machine_runs_identical(self, backend, machine_name):
+    def test_full_machine_runs_identical(self, machine_name):
         """End-to-end machine runs (purges, IPC, reconfiguration and
         timing model included) must not depend on the engine.
 
@@ -464,7 +454,7 @@ class TestMachineEquivalence:
         assert results["scalar"] == results["vector"]
 
     @pytest.mark.parametrize("pop_seed", (0, 7))
-    def test_population_mix_runs_identical(self, backend, machine_name, pop_seed):
+    def test_population_mix_runs_identical(self, machine_name, pop_seed):
         """Served-population tuples must not depend on the engine either.
 
         Samples the head of a skewed population and replays each user's
@@ -539,8 +529,8 @@ class TestAttackEquivalence:
 
     The harnesses replay their probe traces through the same hierarchy
     the figures use, so their stored (and golden-pinned) payloads must
-    be bit-identical between the scalar oracle and the vector engine on
-    every backend — a warm figattack cache can then never mask an
+    be bit-identical between the scalar oracle and the vector engine —
+    a warm figattack cache can then never mask an
     engine divergence (the engine rides in the store key's config
     hash).
     """
@@ -549,7 +539,7 @@ class TestAttackEquivalence:
         "kind",
         ["prime_probe", "covert", "noc_probe", "spectre", "purge_timing", "noc_covert"],
     )
-    def test_attack_payload_engine_invariant(self, kind, backend):
+    def test_attack_payload_engine_invariant(self, kind):
         from repro.attacks.environment import ISOLATION_MODELS
         from repro.attacks.scenarios import run_attack_scenario
 
@@ -561,7 +551,7 @@ class TestAttackEquivalence:
             vector = run_attack_scenario(
                 kind, model, base.with_engine("vector"), 1.0, seed=0
             )
-            assert scalar == vector, (kind, model, backend)
+            assert scalar == vector, (kind, model)
 
 
 class TestMachineFuzzEquivalence:
@@ -584,7 +574,7 @@ class TestMachineFuzzEquivalence:
     FUZZ_APPS = ("<AES, QUERY>", "<MEMCACHED, OS>", "<TC, GRAPH>")
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fuzzed_machine_runs_identical(self, backend, machine_name, seed):
+    def test_fuzzed_machine_runs_identical(self, machine_name, seed):
         rng = np.random.default_rng(seed)
         app = get_app(self.FUZZ_APPS[int(rng.integers(len(self.FUZZ_APPS)))])
         n = int(rng.integers(2, 6))
@@ -598,7 +588,7 @@ class TestMachineFuzzEquivalence:
         assert results["scalar"] == results["vector"], (machine_name, seed)
 
     @pytest.mark.parametrize("machine,interval", [("fence_ts", 3), ("simf", 2)])
-    def test_nondefault_fence_interval_identical(self, backend, machine, interval):
+    def test_nondefault_fence_interval_identical(self, machine, interval):
         app = get_app("<AES, QUERY>")
         results = {}
         for engine in ("scalar", "vector"):
@@ -610,3 +600,56 @@ class TestMachineFuzzEquivalence:
             assert m.purge_policy.interval == interval
             results[engine] = m.run(app, n_interactions=5, seed=3)
         assert results["scalar"] == results["vector"], (machine, interval)
+
+
+class TestNoCompilerPath:
+    """Without compiled kernels a ``vector`` config runs the scalar oracle.
+
+    Forces :func:`~repro.arch.native.native_available` to report False,
+    as on a host without a C toolchain, and checks the three places the
+    resolved engine decides: the hierarchy itself, ``Machine.run``'s
+    dispatch, and a whole quick figure against its golden numbers.
+    """
+
+    def test_vector_config_runs_scalar_oracle(self, monkeypatch):
+        import json
+        from pathlib import Path
+
+        from repro.experiments.fig1 import run_fig1a
+        from repro.experiments.golden import quick_settings
+        from repro.experiments.runner import clear_result_cache
+        from repro.machines.base import Machine
+
+        monkeypatch.setattr(
+            "repro.arch.hierarchy.native_available", lambda: False
+        )
+        config = SystemConfig.evaluation().with_engine("vector")
+        assert MemoryHierarchy(config).engine == "scalar"
+
+        loop = []
+        interaction = Machine._interaction
+
+        def counted(self, *args, **kwargs):
+            loop.append(self.name)
+            return interaction(self, *args, **kwargs)
+
+        def batched(*args, **kwargs):
+            raise AssertionError("batched pipeline needs the vector engine")
+
+        monkeypatch.setattr(Machine, "_interaction", counted)
+        monkeypatch.setattr(Machine, "_run_batched", batched)
+        machine = build_machine("mi6", config)
+        machine.run(get_app("<AES, QUERY>"), n_interactions=2)
+        assert len(loop) >= 2
+
+        golden_path = Path(__file__).parent / "golden" / "figures_quick.json"
+        with open(golden_path, "r", encoding="utf-8") as fh:
+            golden = json.load(fh)
+        # Memoized runs are keyed by config, not by the resolved engine:
+        # start and finish cold so no native result masks this path.
+        clear_result_cache()
+        try:
+            fig1 = run_fig1a(quick_settings("vector"), verbose=False)
+        finally:
+            clear_result_cache()
+        assert {m: float(v) for m, v in fig1.items()} == golden["fig1"]

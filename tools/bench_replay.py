@@ -63,6 +63,7 @@ import numpy as np
 
 from repro.arch.address import VirtualMemory
 from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
+from repro.arch.native import native_available
 from repro.config import SystemConfig
 from repro.experiments.reporting import print_stats
 from repro.workloads import APPS
@@ -115,7 +116,7 @@ def replay_mix(engine: str, mix):
         for tr in traces:
             results.append(hier.run_trace(ctx, tr.addrs, tr.writes))
     elapsed = time.perf_counter() - start
-    return hier, results, elapsed
+    return results, elapsed
 
 
 def bench_store(n_user: int, n_os: int) -> dict:
@@ -434,19 +435,18 @@ def main(argv=None) -> int:
 
     timings = {}
     results = {}
-    backend = "?"
+    # Without compiled kernels the vector engine runs the scalar oracle.
+    backend = "native" if native_available() else "scalar"
     for engine in ("scalar", "vector"):
         best = float("inf")
         for _ in range(max(1, args.repeats)):
-            hier, res, elapsed = replay_mix(engine, mix)
+            res, elapsed = replay_mix(engine, mix)
             best = min(best, elapsed)
         timings[engine] = best
         results[engine] = res
-        if engine == "vector":
-            backend = hier.backend
         print(f"  {engine:7s} {accesses / best / 1e6:6.2f} M accesses/s "
               f"({events / best / 1e6:5.2f} M events/s, {best * 1e3:6.1f} ms)"
-              + (f"  [backend: {hier.backend}]" if engine == "vector" else ""))
+              + (f"  [backend: {backend}]" if engine == "vector" else ""))
 
     if results["scalar"] != results["vector"]:
         bad = sum(a != b for a, b in zip(results["scalar"], results["vector"]))

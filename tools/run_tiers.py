@@ -233,8 +233,9 @@ def run_sanitize_phase() -> dict:
     """Equivalence suite over sanitizer-instrumented native kernels.
 
     A preflight asserts the instrumented library actually builds and
-    loads — otherwise the equivalence suite would silently pass on the
-    pure-Python fallback and the phase would prove nothing.
+    loads — otherwise the vector engine would silently run the scalar
+    oracle, the equivalence suite would compare it with itself, and the
+    phase would prove nothing.
     """
     start = time.perf_counter()
     env = sanitizer_env()
