@@ -10,7 +10,8 @@ streams, purge-interleaved replay, page re-homing mid-stream, replicated
 hash-homed sharing and NUMA controller binding.
 
 Without a C toolchain a ``vector`` configuration runs the scalar oracle
-itself; :class:`TestNoCompilerPath` pins that resolution.
+itself; :class:`TestNoCompilerPath` pins that resolution, and the
+``backend`` fixture replays every engine-pair test on that path too.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 
 from repro.arch.address import VirtualMemory
 from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
+from repro.arch.native import native_available
 from repro.config import SystemConfig
 from repro.experiments.runner import ExperimentSettings, run_one
 from repro.machines import MACHINES, build_machine
@@ -30,6 +32,31 @@ from repro.workloads import get_app
 ALL_MACHINES = tuple(MACHINES)
 
 pytestmark = pytest.mark.equivalence
+
+BACKENDS = ["no_native"] + (["native"] if native_available() else [])
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request, monkeypatch):
+    """Run each test with and without the compiled kernels.
+
+    ``no_native`` makes :func:`~repro.arch.native.native_available`
+    report False, as on a host without a C toolchain, so the ``vector``
+    side resolves to the scalar oracle.  Memoized runs are keyed by
+    config, not by the resolved engine, so that case starts and finishes
+    with a cold result cache.
+    """
+    if request.param == "native":
+        yield request.param
+        return
+    from repro.experiments.runner import clear_result_cache
+
+    monkeypatch.setattr("repro.arch.hierarchy.native_available", lambda: False)
+    clear_result_cache()
+    try:
+        yield request.param
+    finally:
+        clear_result_cache()
 
 
 def set_entries(cache, set_index):
@@ -100,21 +127,21 @@ def random_trace(rng, n, span=1 << 19, run_prob=0.5, write_frac=0.4):
 
 
 class TestTraceEquivalence:
-    def test_random_traces(self, rng):
+    def test_random_traces(self, backend, rng):
         pair = EnginePair()
         for _ in range(5):
             addrs, writes = random_trace(rng, int(rng.integers(1, 4000)))
             pair.run(addrs, writes)
             pair.assert_same_state()
 
-    def test_write_heavy(self, rng):
+    def test_write_heavy(self, backend, rng):
         pair = EnginePair()
         for _ in range(3):
             addrs, writes = random_trace(rng, 3000, write_frac=0.95)
             pair.run(addrs, writes)
         pair.assert_same_state()
 
-    def test_purge_interleaved(self, rng):
+    def test_purge_interleaved(self, backend, rng):
         pair = EnginePair()
         for i in range(6):
             addrs, writes = random_trace(rng, 1500)
@@ -124,7 +151,7 @@ class TestTraceEquivalence:
                 pair.assert_same_state()
         pair.assert_same_state()
 
-    def test_rehoming_interleaved(self, rng):
+    def test_rehoming_interleaved(self, backend, rng):
         pair = EnginePair()
         for i in range(4):
             addrs, writes = random_trace(rng, 1500, span=1 << 17)
@@ -137,7 +164,7 @@ class TestTraceEquivalence:
             assert hs.rehome_frames(frames, cs) == hv.rehome_frames(frames, cv)
             pair.assert_same_state()
 
-    def test_replication_hash_homed(self, rng):
+    def test_replication_hash_homed(self, backend, rng):
         pair = EnginePair(
             homing="hash", replication=True, slices=list(range(16)),
         )
@@ -147,21 +174,21 @@ class TestTraceEquivalence:
             pair.assert_same_state()
         assert res.accesses == 2500
 
-    def test_numa_mc(self, rng):
+    def test_numa_mc(self, backend, rng):
         pair = EnginePair(numa_mc=True, homing="hash", slices=list(range(16)))
         for _ in range(3):
             addrs, writes = random_trace(rng, 2000)
             pair.run(addrs, writes)
         pair.assert_same_state()
 
-    def test_empty_and_single(self):
+    def test_empty_and_single(self, backend):
         pair = EnginePair()
         res = pair.run(np.empty(0, dtype=np.int64))
         assert res.accesses == 0
         pair.run(np.asarray([4096], dtype=np.int64))
         pair.assert_same_state()
 
-    def test_sticky_streams(self):
+    def test_sticky_streams(self, backend):
         """Interleaved same-line streams revisiting one L1 set."""
         a = np.asarray([0, 4096, 64, 0, 4096, 0, 4096, 128], dtype=np.int64)
         addrs = np.tile(a, 300) + 64 * np.repeat(
@@ -172,7 +199,7 @@ class TestTraceEquivalence:
         pair.run(addrs, writes)
         pair.assert_same_state()
 
-    def test_app_interaction_traces(self, rng):
+    def test_app_interaction_traces(self, backend, rng):
         pair = EnginePair(slices=list(range(16)), regions=(0, 1, 2, 3))
         for app_name in ("<AES, QUERY>", "<MEMCACHED, OS>"):
             app = get_app(app_name)
@@ -201,7 +228,7 @@ class TestFuzzEquivalence:
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    def test_fuzzed_random_traces(self, config_name, seed):
+    def test_fuzzed_random_traces(self, backend, config_name, seed):
         rng = np.random.default_rng(7_000 + seed)
         config = self.CONFIGS[config_name]()
         homing = "hash" if seed % 2 else "local"
@@ -231,7 +258,7 @@ class TestFuzzEquivalence:
 class TestBatchedReplayEquivalence:
     """``run_trace_batched`` vs the per-call loop (same engine)."""
 
-    def test_random_segments_match_per_call(self, rng):
+    def test_random_segments_match_per_call(self, backend, rng):
         for trial in range(3):
             n = int(rng.integers(1000, 6000))
             addrs, writes = random_trace(rng, n, span=1 << 18)
@@ -247,7 +274,7 @@ class TestBatchedReplayEquivalence:
             assert per == bat
             pair.assert_same_state()
 
-    def test_empty_segments_and_scalar_fallback(self, rng):
+    def test_empty_segments_and_scalar_fallback(self, backend, rng):
         addrs, writes = random_trace(rng, 500)
         bounds = [0, 0, 120, 120, 500]
         pair = EnginePair()
@@ -259,7 +286,7 @@ class TestBatchedReplayEquivalence:
         assert [r.accesses for r in bat] == [0, 120, 0, 380]
         pair.assert_same_state()
 
-    def test_replicated_segments(self, rng):
+    def test_replicated_segments(self, backend, rng):
         pair = EnginePair(homing="hash", replication=True, slices=list(range(16)))
         (hs, cs), (hv, cv) = pair.sides
         for _ in range(2):
@@ -297,7 +324,7 @@ class TestCalibrationEquivalence:
             yield proc, warm, measure
 
     @pytest.mark.parametrize("app_name", APPS)
-    def test_batched_curve_matches_scalar_oracle(self, app_name):
+    def test_batched_curve_matches_scalar_oracle(self, backend, app_name):
         from repro.model.perf_model import (
             calibrate_l2_curve,
             calibrate_l2_curve_oracle,
@@ -370,7 +397,7 @@ class TestPurgePathOccupancy:
                 cache
             ), cache.name
 
-    def test_counters_track_replay_and_purge(self, rng):
+    def test_counters_track_replay_and_purge(self, backend, rng):
         pair = EnginePair()
         for i in range(5):
             addrs, writes = random_trace(rng, 2500, write_frac=0.6)
@@ -384,7 +411,7 @@ class TestPurgePathOccupancy:
                     assert hier.l1_for(ctx.rep_core).valid_lines == 0
                     assert hier.l2_dirty_lines(ctx.slices) == 0
 
-    def test_counters_track_rehoming(self, rng):
+    def test_counters_track_rehoming(self, backend, rng):
         pair = EnginePair()
         for i in range(3):
             addrs, writes = random_trace(rng, 1500, span=1 << 16)
@@ -398,7 +425,7 @@ class TestPurgePathOccupancy:
             for hier, ctx in pair.sides:
                 self._assert_counters(hier, ctx)
 
-    def test_clean_all_is_idempotent_and_cheap(self, rng):
+    def test_clean_all_is_idempotent_and_cheap(self, backend, rng):
         pair = EnginePair()
         addrs, writes = random_trace(rng, 2000, write_frac=0.9)
         pair.run(addrs, writes)
@@ -411,7 +438,7 @@ class TestPurgePathOccupancy:
         for hier, ctx in pair.sides:
             self._assert_counters(hier, ctx)
 
-    def test_purge_report_matches_recount(self, rng):
+    def test_purge_report_matches_recount(self, backend, rng):
         """PurgeModel dirty-drain accounting equals a state recount."""
         from repro.secure.purge import PurgeModel
 
@@ -434,7 +461,7 @@ class TestPurgePathOccupancy:
 
 
 class TestMachineEquivalence:
-    def test_full_machine_runs_identical(self, machine_name):
+    def test_full_machine_runs_identical(self, backend, machine_name):
         """End-to-end machine runs (purges, IPC, reconfiguration and
         timing model included) must not depend on the engine.
 
@@ -454,7 +481,7 @@ class TestMachineEquivalence:
         assert results["scalar"] == results["vector"]
 
     @pytest.mark.parametrize("pop_seed", (0, 7))
-    def test_population_mix_runs_identical(self, machine_name, pop_seed):
+    def test_population_mix_runs_identical(self, backend, machine_name, pop_seed):
         """Served-population tuples must not depend on the engine either.
 
         Samples the head of a skewed population and replays each user's
@@ -539,7 +566,7 @@ class TestAttackEquivalence:
         "kind",
         ["prime_probe", "covert", "noc_probe", "spectre", "purge_timing", "noc_covert"],
     )
-    def test_attack_payload_engine_invariant(self, kind):
+    def test_attack_payload_engine_invariant(self, kind, backend):
         from repro.attacks.environment import ISOLATION_MODELS
         from repro.attacks.scenarios import run_attack_scenario
 
@@ -551,7 +578,7 @@ class TestAttackEquivalence:
             vector = run_attack_scenario(
                 kind, model, base.with_engine("vector"), 1.0, seed=0
             )
-            assert scalar == vector, (kind, model)
+            assert scalar == vector, (kind, model, backend)
 
 
 class TestMachineFuzzEquivalence:
@@ -574,7 +601,7 @@ class TestMachineFuzzEquivalence:
     FUZZ_APPS = ("<AES, QUERY>", "<MEMCACHED, OS>", "<TC, GRAPH>")
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fuzzed_machine_runs_identical(self, machine_name, seed):
+    def test_fuzzed_machine_runs_identical(self, backend, machine_name, seed):
         rng = np.random.default_rng(seed)
         app = get_app(self.FUZZ_APPS[int(rng.integers(len(self.FUZZ_APPS)))])
         n = int(rng.integers(2, 6))
@@ -588,7 +615,7 @@ class TestMachineFuzzEquivalence:
         assert results["scalar"] == results["vector"], (machine_name, seed)
 
     @pytest.mark.parametrize("machine,interval", [("fence_ts", 3), ("simf", 2)])
-    def test_nondefault_fence_interval_identical(self, machine, interval):
+    def test_nondefault_fence_interval_identical(self, backend, machine, interval):
         app = get_app("<AES, QUERY>")
         results = {}
         for engine in ("scalar", "vector"):
