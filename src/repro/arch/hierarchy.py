@@ -40,9 +40,12 @@ once per hierarchy, which one actually runs:
     and all latency arithmetic are vectorized with NumPy; cache events
     run through the compiled :class:`repro.arch.native.NativeCache`
     batch kernels — the full event list filters through the L1 once,
-    and the surviving misses are segmented by home slice and replayed
-    per slice.  Without a C toolchain a ``vector`` configuration runs
-    the scalar oracle instead.
+    and the surviving misses, sorted by home slice, replay through all
+    slices in one multi-slice kernel call.  Traces of at most
+    :data:`SMALL_TRACE` accesses skip NumPy: a list front end feeds the
+    per-event loop, run over the compiled caches (see
+    :meth:`MemoryHierarchy.run_trace`).  Without a C toolchain a
+    ``vector`` configuration runs the scalar oracle instead.
 
 Both engines produce bit-identical :class:`TraceResult` counters, cache
 contents and stats; the equivalence suite in
@@ -65,12 +68,24 @@ from repro.arch.cache import SetAssocCache
 from repro.arch.dram import DramSystem
 from repro.arch.memory_controller import MemoryController
 from repro.arch.mesh import MeshTopology
-from repro.arch.native import NativeCache, NativeTlb, native_available
+from repro.arch.native import (
+    NativeCache,
+    NativeTlb,
+    multi_slice_flags_wb,
+    native_available,
+)
 from repro.arch.tlb import Tlb
 from repro.config import SystemConfig
 from repro.errors import CacheIsolationViolation, ConfigError
 
 AnyCache = Union[SetAssocCache, NativeCache]
+
+#: Longest trace (in accesses) that the vector engine replays through
+#: the list front end and the per-event loop instead of NumPy and the
+#: batch kernels.  Set at the measured per-call crossover of the two
+#: paths for miss-heavy traces (12-16 accesses); run-heavy traces
+#: cross over later, so below it the list path wins on both.
+SMALL_TRACE = 16
 
 
 def resolve_engine(config: SystemConfig) -> str:
@@ -234,7 +249,16 @@ class MemoryHierarchy:
             [self.dram.controller_of(r) for r in range(config.mem.n_regions)],
             dtype=np.int32,
         )
+        self._mc_of_region_list = self._mc_of_region.tolist()
         self._frames_per_region = frames_per_region
+        # Slice-to-controller hop counts for the per-event loop, as
+        # lists: per controller, and with NUMA-aware placement (every
+        # request leaves via the slice's nearest controller).
+        mc_dist = self.mesh.mc_distances
+        self._d_mc = mc_dist.tolist()
+        self._d_mc_numa = [
+            [v] * config.mem.n_controllers for v in mc_dist.min(axis=1).tolist()
+        ]
         self._avg_dist_cache: Dict[tuple, list] = {}
         # Contexts with L2 replication enabled, tracked (weakly, by
         # identity — ProcessContext is an eq-dataclass and unhashable)
@@ -268,16 +292,16 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Homing
     # ------------------------------------------------------------------
-    def ensure_homed(self, frames: np.ndarray, ctx: ProcessContext) -> None:
+    def ensure_homed(self, frames: Sequence[int], ctx: ProcessContext) -> None:
         """Assign home slices to frames that do not have one yet."""
         table = self.home_table
         if ctx.homing == "hash":
-            n = len(ctx.slices)
-            slice_arr = np.asarray(ctx.slices, dtype=np.int32)
+            slices = ctx.slices
+            n = len(slices)
             for frame in frames:
                 f = int(frame)
                 if table[f] < 0:
-                    table[f] = slice_arr[f % n]
+                    table[f] = slices[f % n]
         elif ctx.homing == "local":
             for frame in frames:
                 f = int(frame)
@@ -407,6 +431,16 @@ class MemoryHierarchy:
         optional boolean/int array of the same length (default: reads).
         The replay implementation is the resolved :attr:`engine`; both
         engines return identical counters.
+
+        The vector engine dispatches on trace length.  A trace of at
+        most :data:`SMALL_TRACE` accesses (the attack harness touches
+        one line per call) takes a list-based front end and the
+        per-event loop over the compiled caches, because NumPy's fixed
+        cost per array operation outweighs the work of a few events.
+        Longer traces take the NumPy front end and the batch kernels.
+        Both front ends translate, home and check entitlement in the
+        same order, so page allocation, homing and the first raised
+        violation do not depend on the path taken.
         """
         result = TraceResult()
         n = len(addrs)
@@ -417,6 +451,33 @@ class MemoryHierarchy:
         if ctx.replication:
             self._replica_refs[id(ctx)] = weakref.ref(ctx)
 
+        if self.engine == "vector" and n <= SMALL_TRACE:
+            self._replay_scalar(ctx, result, *self._events_list(ctx, addrs, writes))
+        else:
+            *events, compressed_hits = self._events_array(ctx, addrs, writes)
+            if self.engine == "vector":
+                self._replay_vector(ctx, result, *events, compressed_hits)
+            else:
+                self._replay_scalar(
+                    ctx, result, *(e.tolist() for e in events), compressed_hits
+                )
+        for mc, reqs in result.mc_requests.items():
+            self.controllers[mc].record_traffic(reqs, 0)
+        return result
+
+    def _events_array(
+        self,
+        ctx: ProcessContext,
+        addrs: np.ndarray,
+        writes: Optional[np.ndarray],
+    ) -> tuple:
+        """NumPy front end: run-length compression, translation, homing.
+
+        Returns ``(vpages, writes, plines, homes, mcs)`` per line-change
+        event, as arrays, followed by the count of accesses folded into
+        runs (guaranteed L1 hits).
+        """
+        n = len(addrs)
         vlines = addrs >> self._line_shift
         if writes is None:
             writes = np.zeros(n, dtype=np.int8)
@@ -443,20 +504,65 @@ class MemoryHierarchy:
         ev_plines = ev_frames * self._lines_per_page + (ev_vlines & self._lp_mask)
         ev_homes = self.home_table[ev_frames]
         ev_mcs = self._mc_of_region[ev_frames // self._frames_per_region]
+        return ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs, compressed_hits
 
-        if self.engine == "vector":
-            self._replay_vector(
-                ctx, result, ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs,
-                compressed_hits,
-            )
+    def _events_list(
+        self,
+        ctx: ProcessContext,
+        addrs: np.ndarray,
+        writes: Optional[np.ndarray],
+    ) -> tuple:
+        """List-based twin of :meth:`_events_array` for tiny traces.
+
+        Same events and the same ``ensure_mapped`` / ``ensure_homed`` /
+        ``_check_entitlement`` calls over the same sorted unique pages,
+        as Python lists.  A run's write flag is the maximum over the
+        run, as ``np.maximum.reduceat`` gives.
+        """
+        shift = self._line_shift
+        addr_l = addrs.tolist()
+        if writes is None:
+            write_l = [0] * len(addr_l)
         else:
-            self._replay_scalar(
-                ctx, result, ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs,
-                compressed_hits,
-            )
-        for mc, reqs in result.mc_requests.items():
-            self.controllers[mc].record_traffic(reqs, 0)
-        return result
+            write_l = writes.astype(np.int8, copy=False).tolist()
+        ev_vlines: List[int] = []
+        ev_writes: List[int] = []
+        prev = None
+        for addr, w in zip(addr_l, write_l):
+            vline = addr >> shift
+            if vline != prev:
+                prev = vline
+                ev_vlines.append(vline)
+                ev_writes.append(w)
+            elif w > ev_writes[-1]:
+                ev_writes[-1] = w
+
+        lp_shift = self._lp_shift
+        ev_vpages = [vline >> lp_shift for vline in ev_vlines]
+        uniq_pages = sorted(set(ev_vpages))
+        frames = ctx.vm.ensure_mapped(uniq_pages).tolist()
+        self.ensure_homed(frames, ctx)
+        if ctx.enforce:
+            self._check_entitlement(frames, ctx)
+        table = self.home_table
+        lpp = self._lines_per_page
+        fpr = self._frames_per_region
+        mc_of_region = self._mc_of_region_list
+        page_info = {
+            page: (frame * lpp, int(table[frame]), mc_of_region[frame // fpr])
+            for page, frame in zip(uniq_pages, frames)
+        }
+        mask = self._lp_mask
+        ev_plines: List[int] = []
+        ev_homes: List[int] = []
+        ev_mcs: List[int] = []
+        for page, vline in zip(ev_vpages, ev_vlines):
+            base, home, mc = page_info[page]
+            ev_plines.append(base + (vline & mask))
+            ev_homes.append(home)
+            ev_mcs.append(mc)
+        compressed_hits = len(addr_l) - len(ev_vlines)
+        return ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs, compressed_hits
 
     def run_trace_batched(
         self,
@@ -504,22 +610,17 @@ class MemoryHierarchy:
         self,
         ctx: ProcessContext,
         result: TraceResult,
-        ev_vpages: np.ndarray,
-        ev_writes: np.ndarray,
-        ev_plines: np.ndarray,
-        ev_homes: np.ndarray,
-        ev_mcs: np.ndarray,
+        pages_l: List[int],
+        writes_l: List[int],
+        plines_l: List[int],
+        homes_l: List[int],
+        mcs_l: List[int],
         compressed_hits: int,
     ) -> None:
+        # Events arrive as Python lists: the per-event loop runs ~2x
+        # faster over them than over NumPy arrays.
         cfg = self.config
-        n_events = len(ev_plines)
-
-        # Pre-converted python lists make the event loop ~2x faster.
-        pages_l = ev_vpages.tolist()
-        writes_l = ev_writes.tolist()
-        plines_l = ev_plines.tolist()
-        homes_l = ev_homes.tolist()
-        mcs_l = ev_mcs.tolist()
+        n_events = len(plines_l)
 
         rep = ctx.rep_core
         l1 = self.l1_for(rep)
@@ -538,11 +639,7 @@ class MemoryHierarchy:
         # home slice uses the cluster-average distance, not the (biased)
         # representative core's own position.
         d_core = self._avg_core_distances(tuple(ctx.cores))
-        if ctx.numa_mc:
-            nearest = self.mesh.mc_distances.min(axis=1).tolist()
-            d_mc = [[v] * self.config.mem.n_controllers for v in nearest]
-        else:
-            d_mc = self.mesh.mc_distances.tolist()
+        d_mc = self._d_mc_numa if ctx.numa_mc else self._d_mc
 
         l1_snap = l1.stats.snapshot()
         l1_hits = compressed_hits
@@ -647,7 +744,7 @@ class MemoryHierarchy:
         l2_misses = 0
         mem_cycles = walk * tlb_misses
         mc_requests: Dict[int, int] = {}
-        l2_snaps = {}
+        l2_writebacks = 0
 
         if l1_misses:
             lines_m = ev_plines[miss_idx]
@@ -662,14 +759,12 @@ class MemoryHierarchy:
             seg[0] = True
             np.not_equal(hs[1:], hs[:-1], out=seg[1:])
             bounds = np.flatnonzero(seg).tolist()
+            caches = [self.l2_slice(home) for home in hs[bounds].tolist()]
             bounds.append(l1_misses)
-            hit_sorted = np.empty(l1_misses, dtype=np.int8)
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                home = int(hs[a])
-                l2 = self.l2_slice(home)
-                l2_snaps[home] = l2.stats.snapshot()
-                part = horder[a:b]
-                hit_sorted[a:b] = l2.kernel_hit_flags(lines_m[part], writes_m[part])
+            hit_sorted, _, stats4 = multi_slice_flags_wb(
+                caches, bounds, lines_m[horder], writes_m[horder]
+            )
+            l2_writebacks = int(stats4[1::4].sum())
             l2_hit = np.empty(l1_misses, dtype=np.int8)
             l2_hit[horder] = hit_sorted
             hitmask = l2_hit.astype(bool)
@@ -724,9 +819,7 @@ class MemoryHierarchy:
         result.mem_cycles = int(mem_cycles)
         result.mc_requests = mc_requests
         result.l1_writebacks = l1.stats.delta(l1_snap).writebacks
-        result.l2_writebacks = sum(
-            self._l2[t].stats.delta(snap).writebacks for t, snap in l2_snaps.items()
-        )
+        result.l2_writebacks = l2_writebacks
 
     def _avg_core_distances(self, cores: tuple) -> list:
         """Per-slice hop count averaged over the given cores (cached).
@@ -744,7 +837,7 @@ class MemoryHierarchy:
             self._avg_dist_cache[cores] = cached
         return cached
 
-    def _check_entitlement(self, frames: np.ndarray, ctx: ProcessContext) -> None:
+    def _check_entitlement(self, frames: Sequence[int], ctx: ProcessContext) -> None:
         """Strong-isolation checks on newly touched frames."""
         fpr = self._frames_per_region
         shared = self.shared_frames

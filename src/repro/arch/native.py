@@ -78,9 +78,7 @@ typedef int8_t  i8;
  * for l1_filter_wb (0 otherwise).
  *
  * l1_filter: records the indices of missing events in miss_pos and
- * returns how many there were.
- * l2_flags:  records a 1/0 hit flag per event in flags and returns the
- * number of hits. */
+ * returns how many there were. */
 
 static inline i64 do_access(i64 line, i8 w,
                             i64 *tags, i8 *dirty, i64 *age,
@@ -134,27 +132,6 @@ i64 l1_filter(i64 n, const i64 *lines, const i8 *writes,
     stats_out[2] = 0;
     stats_out[3] = dirtied;
     return n_miss;
-}
-
-i64 l2_flags(i64 n, const i64 *lines, const i8 *writes,
-             i64 *tags, i8 *dirty, i64 *age, i64 *clock_io,
-             i64 set_mask, i64 assoc,
-             i8 *flags, i64 *stats_out)
-{
-    i64 clock = *clock_io, hits = 0, evictions = 0, writebacks = 0;
-    i64 dirtied = 0;
-    for (i64 k = 0; k < n; k++) {
-        i64 h = do_access(lines[k], writes[k], tags, dirty, age, &clock,
-                          set_mask, assoc, &evictions, &writebacks, &dirtied);
-        flags[k] = (i8)h;
-        hits += h;
-    }
-    *clock_io = clock;
-    stats_out[0] = evictions;
-    stats_out[1] = writebacks;
-    stats_out[2] = 0;
-    stats_out[3] = dirtied;
-    return hits;
 }
 
 /* l1_filter_wb: additionally records which events caused a dirty-line
@@ -360,9 +337,8 @@ def _load() -> Optional[ctypes.CDLL]:
     # c_void_p argtypes keep the per-call marshalling cost negligible.
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    for fn in (lib.l1_filter, lib.l2_flags):
-        fn.restype = i64
-        fn.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
+    lib.l1_filter.restype = i64
+    lib.l1_filter.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
     lib.l1_filter_wb.restype = i64
     lib.l1_filter_wb.argtypes = [
         i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr
@@ -449,10 +425,17 @@ class NativeCache:
             self.age.ctypes.data, self._clock.ctypes.data,
         )
         self._stats_ptr = self._stats_out.ctypes.data
-        # Reusable single-event buffers for the scalar access() path.
+        # Single-event buffers for the scalar access() path, likewise
+        # never reallocated: the whole l1_filter argument tail after the
+        # event count is built once.
         self._one_line = np.zeros(1, dtype=np.int64)
         self._one_write = np.zeros(1, dtype=np.int8)
         self._one_out = np.zeros(1, dtype=np.int64)
+        self._one_args = (
+            self._one_line.ctypes.data, self._one_write.ctypes.data,
+            *self._state_ptrs, self._set_mask, self.assoc,
+            self._one_out.ctypes.data, self._stats_ptr,
+        )
 
     # ------------------------------------------------------------------
     # Batch kernels
@@ -474,23 +457,6 @@ class NativeCache:
         self._fold_batch_stats(st, n_miss)
         return miss_pos[:n_miss]
 
-    def kernel_hit_flags(self, lines: np.ndarray, writes: np.ndarray) -> np.ndarray:
-        """Access a batch; returns a 1/0 hit flag per event."""
-        n = len(lines)
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        writes = np.ascontiguousarray(writes, dtype=np.int8)
-        flags = np.empty(n, dtype=np.int8)
-        hits = self._lib.l2_flags(
-            n, lines.ctypes.data, writes.ctypes.data,
-            *self._state_ptrs, self._set_mask, self.assoc,
-            flags.ctypes.data, self._stats_ptr,
-        )
-        st = self.stats
-        st.hits += int(hits)
-        st.misses += n - int(hits)
-        self._fold_batch_stats(st, n - int(hits))
-        return flags
-
     def _fold_batch_stats(self, st: CacheStats, n_miss: int) -> None:
         """Fold one kernel call's ``stats_out`` into stats + occupancy.
 
@@ -498,13 +464,11 @@ class NativeCache:
         valid delta is ``n_miss - evictions``; the dirty delta is
         ``dirtied - writebacks`` (see the C source).
         """
-        out = self._stats_out
-        evictions = int(out[0])
-        writebacks = int(out[1])
+        evictions, writebacks, _, dirtied = self._stats_out.tolist()
         st.evictions += evictions
         st.writebacks += writebacks
         self._valid_count += n_miss - evictions
-        self._dirty_count += int(out[3]) - writebacks
+        self._dirty_count += dirtied - writebacks
 
     def kernel_filter_misses_wb(
         self, lines: np.ndarray, writes: np.ndarray
@@ -533,15 +497,11 @@ class NativeCache:
     def access(self, line_id: int, is_write: bool) -> bool:
         self._one_line[0] = line_id
         self._one_write[0] = 1 if is_write else 0
-        n_miss = self._lib.l1_filter(
-            1, self._one_line.ctypes.data, self._one_write.ctypes.data,
-            *self._state_ptrs, self._set_mask, self.assoc,
-            self._one_out.ctypes.data, self._stats_ptr,
-        )
+        n_miss = self._lib.l1_filter(1, *self._one_args)
         st = self.stats
         st.hits += 1 - n_miss
         st.misses += n_miss
-        self._fold_batch_stats(st, int(n_miss))
+        self._fold_batch_stats(st, n_miss)
         return n_miss == 0
 
     def touch_many(self, line_ids, writes) -> int:
@@ -657,18 +617,6 @@ class NativeCache:
             self.access(line_id, False)
         return primed
 
-    # ------------------------------------------------------------------
-    # Matrix exports / equivalence helpers
-    # ------------------------------------------------------------------
-    def tag_matrix(self) -> np.ndarray:
-        return self.tags.reshape(self.n_sets, self.assoc).copy()
-
-    def dirty_matrix(self) -> np.ndarray:
-        return self.dirty.reshape(self.n_sets, self.assoc).astype(np.int64)
-
-    def age_matrix(self) -> np.ndarray:
-        return self.age.reshape(self.n_sets, self.assoc).copy()
-
     def set_entries(self, set_index: int) -> List[List[int]]:
         """Set contents as ``[tag, dirty]`` pairs, MRU-first."""
         row = self._row(set_index)
@@ -766,6 +714,8 @@ class NativeTlb:
             self._clock.ctypes.data,
         )
         self._one = np.zeros(1, dtype=np.int64)
+        # Argument tail of the single-page access() call, built once.
+        self._one_args = (self._one.ctypes.data, *self._ptrs, config.entries)
         self.stats = TlbStats()
 
     def access_batch(self, vpages: np.ndarray) -> int:
@@ -795,9 +745,7 @@ class NativeTlb:
     def access(self, vpage: int) -> bool:
         """Look up a virtual page; returns True on hit."""
         self._one[0] = vpage
-        misses = self._lib.tlb_misses(
-            1, self._one.ctypes.data, *self._ptrs, self.config.entries
-        )
+        misses = self._lib.tlb_misses(1, *self._one_args)
         self.stats.hits += 1 - misses
         self.stats.misses += misses
         return misses == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -301,3 +302,80 @@ class TestNativeTlbParity:
         assert ref.invalidate_all() == nat.invalidate_all()
         assert ref.lru_entries() == nat.lru_entries() == []
         assert ref.stats == nat.stats
+
+
+@native
+class TestCachedAddressParity:
+    """Single-event ``access`` reuses ctypes addresses cached at construction.
+
+    Interleaving it with the batch kernels and the maintenance
+    operations must leave the buffers it points at valid: every step is
+    checked against the reference model.
+    """
+
+    def test_cache_access_interleaved_with_batches(self):
+        from repro.arch.native import multi_slice_flags_wb
+
+        cfg = CacheConfig(1024, 2, 64)
+        ref = SetAssocCache(cfg, "ref")
+        nat = NativeCache(cfg, "nat")
+        rnd = random.Random(23)
+
+        def batch():
+            lines = [rnd.randrange(64) for _ in range(rnd.randrange(1, 40))]
+            writes = [int(rnd.random() < 0.4) for _ in lines]
+            hits = [ref.access(line, w) for line, w in zip(lines, writes)]
+            return np.asarray(lines, dtype=np.int64), np.asarray(writes, dtype=np.int8), hits
+
+        for step in range(300):
+            line = rnd.randrange(64)
+            w = rnd.random() < 0.3
+            assert ref.access(line, w) == nat.access(line, w)
+            op = step % 6
+            if op == 0:
+                lines, writes, hits = batch()
+                misses = nat.kernel_filter_misses(lines, writes).tolist()
+                assert misses == [k for k, h in enumerate(hits) if not h]
+            elif op == 1:
+                lines, writes, hits = batch()
+                misses, _ = nat.kernel_filter_misses_wb(lines, writes)
+                assert misses.tolist() == [k for k, h in enumerate(hits) if not h]
+            elif op == 2:
+                lines, writes, hits = batch()
+                flags, _, _ = multi_slice_flags_wb([nat], [0, len(lines)], lines, writes)
+                assert flags.astype(bool).tolist() == hits
+            elif op == 3:
+                assert ref.invalidate_all() == nat.invalidate_all()
+            elif op == 4:
+                assert ref.clean_all() == nat.clean_all()
+            elif op == 5:
+                s = rnd.randrange(ref.n_sets)
+                assert ref.fill_set(s, step) == nat.fill_set(s, step)
+            assert ref.stats == nat.stats
+            assert (ref.valid_lines, ref.dirty_lines) == (nat.valid_lines, nat.dirty_lines)
+        for s in range(ref.n_sets):
+            assert ref._sets[s] == nat.set_entries(s)
+
+    def test_tlb_access_interleaved_with_batches(self):
+        cfg = TlbConfig(entries=8)
+        ref = Tlb(cfg, "ref")
+        nat = NativeTlb(cfg, "nat")
+        rnd = random.Random(29)
+        for step in range(400):
+            page = rnd.randrange(20)
+            assert ref.access(page) == nat.access(page)
+            op = step % 5
+            pages = [rnd.randrange(20) for _ in range(rnd.randrange(1, 12))]
+            if op == 0:
+                misses = sum(not ref.access(p) for p in pages)
+                assert nat.access_batch(np.asarray(pages, dtype=np.int64)) == misses
+            elif op == 1:
+                flags = [int(not ref.access(p)) for p in pages]
+                got = nat.access_batch_flags(np.asarray(pages, dtype=np.int64))
+                assert got.tolist() == flags
+            elif op == 2:
+                assert ref.invalidate_all() == nat.invalidate_all()
+            elif op == 3:
+                assert ref.invalidate_page(pages[0]) == nat.invalidate_page(pages[0])
+            assert ref.lru_entries() == nat.lru_entries()
+            assert ref.stats == nat.stats

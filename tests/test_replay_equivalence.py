@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from repro.arch.address import VirtualMemory
-from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
+from repro.arch.hierarchy import SMALL_TRACE, MemoryHierarchy, ProcessContext
 from repro.arch.native import native_available
 from repro.config import SystemConfig
+from repro.errors import CacheIsolationViolation, MemoryIsolationViolation
 from repro.experiments.runner import ExperimentSettings, run_one
 from repro.machines import MACHINES, build_machine
 from repro.workloads import get_app
@@ -73,15 +74,17 @@ def tlb_entries(tlb):
 
 
 class EnginePair:
-    """A scalar and a vector hierarchy fed identical inputs."""
+    """Two hierarchies fed identical inputs: by default scalar and vector."""
 
-    def __init__(self, config=None, regions=(0, 1), **ctx_kwargs):
+    def __init__(
+        self, config=None, regions=(0, 1), engines=("scalar", "vector"), **ctx_kwargs
+    ):
         config = config or SystemConfig.evaluation()
         ctx_kwargs.setdefault("cores", list(range(6)))
         ctx_kwargs.setdefault("slices", list(range(8)))
         ctx_kwargs.setdefault("controllers", [0, 1])
         self.sides = []
-        for engine in ("scalar", "vector"):
+        for engine in engines:
             hier = MemoryHierarchy(config.with_engine(engine))
             vm = VirtualMemory("p", hier.address_space, list(regions))
             ctx = ProcessContext("p", "secure", vm, **ctx_kwargs)
@@ -299,6 +302,137 @@ class TestBatchedReplayEquivalence:
             bat = hv.run_trace_batched(cv, addrs, writes, bounds)
             assert per == bat
             pair.assert_same_state()
+
+
+def threshold_trace(rng, n, config):
+    """``n`` accesses built to stress the list front end's edge cases.
+
+    The walk repeats lines (runs), sets write flags inside runs (not
+    only on a run's first access, so the max-reduction matters) and
+    steps across page boundaries in both directions, from a base a few
+    lines short of one, so pages are first touched out of order.
+    """
+    line, page = config.line_bytes, config.page_bytes
+    lpp = page // line
+    cur = int(rng.integers(8, 64)) * lpp - 2
+    lines = []
+    for _ in range(n):
+        lines.append(cur)
+        step = rng.choice([0, 0, 1, -1, lpp, 3 * lpp + 5, -2 * lpp - 3])
+        cur = max(0, cur + int(step))
+    offsets = rng.integers(0, line, size=n)
+    addrs = np.asarray(lines, dtype=np.int64) * line + offsets
+    writes = (rng.random(n) < 0.3).astype(np.int8)
+    return addrs, writes
+
+
+def assert_conserved(res):
+    assert res.accesses == res.l1_hits + res.l1_misses
+    assert res.l1_misses == res.l2_hits + res.l2_misses
+    assert sum(res.mc_requests.values()) == res.l2_misses
+
+
+#: Trace lengths around the vector engine's small-call threshold.
+THRESHOLD_LENGTHS = (1, SMALL_TRACE - 1, SMALL_TRACE, SMALL_TRACE + 1, 2 * SMALL_TRACE)
+
+#: Context shapes the threshold tests cover.
+THRESHOLD_CONTEXTS = {
+    "local": dict(),
+    "hash_replicated": dict(homing="hash", replication=True, slices=list(range(16))),
+    "numa_mc": dict(homing="hash", numa_mc=True, slices=list(range(16))),
+}
+
+
+class TestSmallTraceThreshold:
+    """The vector engine's size dispatch against the scalar oracle.
+
+    Traces of at most :data:`SMALL_TRACE` accesses take the list front
+    end and the per-event loop over the compiled caches; longer ones
+    take NumPy and the batch kernels.  Both must match the oracle on
+    either side of the threshold, on a shared, evolving state.
+    """
+
+    @pytest.mark.parametrize("shape", sorted(THRESHOLD_CONTEXTS))
+    def test_lengths_around_threshold(self, backend, rng, shape):
+        pair = EnginePair(**THRESHOLD_CONTEXTS[shape])
+        config = pair.sides[0][0].config
+        for _ in range(3):
+            for n in THRESHOLD_LENGTHS:
+                addrs, writes = threshold_trace(rng, n, config)
+                res = pair.run(addrs, writes)
+                assert res.accesses == n
+                assert_conserved(res)
+                pair.assert_same_state()
+            pair.purge()
+            pair.assert_same_state()
+
+    def test_dispatch_boundary(self, rng):
+        if not native_available():
+            pytest.skip("compiled kernels unavailable")
+        pair = EnginePair()
+        hv, cv = pair.sides[1]
+        assert hv.engine == "vector"
+        taken = []
+
+        def spy(name, method):
+            def wrapped(*args):
+                taken.append(name)
+                return method(*args)
+            return wrapped
+
+        hv._events_list = spy("list", hv._events_list)
+        hv._replay_vector = spy("vector", hv._replay_vector)
+        for n in THRESHOLD_LENGTHS:
+            taken.clear()
+            pair.run(*threshold_trace(rng, n, hv.config))
+            assert taken == (["list"] if n <= SMALL_TRACE else ["vector"]), n
+        pair.assert_same_state()
+
+    @pytest.mark.parametrize("shape", sorted(THRESHOLD_CONTEXTS))
+    def test_tiny_calls_match_batched_planner(self, backend, rng, shape):
+        """Per-call tiny traces vs ``run_trace_batched`` over the same segments.
+
+        ``BatchReplayer`` is an independent vectorized front end, so
+        this compares the list path against a second implementation on
+        identical vector hierarchies.
+        """
+        pair = EnginePair(engines=("vector", "vector"), **THRESHOLD_CONTEXTS[shape])
+        (h1, c1), (h2, c2) = pair.sides
+        config = h1.config
+        for _ in range(3):
+            lengths = rng.integers(1, SMALL_TRACE + 1, size=12).tolist()
+            traces = [threshold_trace(rng, n, config) for n in lengths]
+            per = [h1.run_trace(c1, a, w) for a, w in traces]
+            bounds = np.cumsum([0] + lengths).tolist()
+            addrs = np.concatenate([a for a, _ in traces])
+            writes = np.concatenate([w for _, w in traces])
+            assert h2.run_trace_batched(c2, addrs, writes, bounds) == per
+            for res in per:
+                assert_conserved(res)
+        pair.assert_same_state()
+
+    @pytest.mark.parametrize("violation", ["memory", "cache"])
+    def test_tiny_violation_matches_oracle(self, backend, violation):
+        pair = EnginePair(regions=(0, 1), slices=[0, 1])
+        page = pair.sides[0][0].config.page_bytes
+        # Three pages, first touched in descending order, allocated
+        # (in ascending page order) round-robin over regions 0 and 1.
+        addrs = np.asarray([2 * page + 64, page, 0], dtype=np.int64)
+        errors = []
+        for hier, ctx in pair.sides:
+            if violation == "memory":
+                hier.dram.assign_owner([1], "insecure")
+            else:
+                hier.run_trace(ctx, addrs[-1:])
+                frame = ctx.vm.page_table[0]
+                hier.home_table[frame] = 7  # planted foreign home
+            with pytest.raises((MemoryIsolationViolation, CacheIsolationViolation)) as exc:
+                hier.run_trace(ctx, addrs, np.ones(3, dtype=np.int8))
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
+        (hs, cs), (hv, cv) = pair.sides
+        assert cs.vm.page_table == cv.vm.page_table
+        assert np.array_equal(hs.home_table, hv.home_table)
 
 
 class TestCalibrationEquivalence:
