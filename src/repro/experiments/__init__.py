@@ -1,8 +1,8 @@
 """Experiment drivers regenerating the paper's figures and tables.
 
 Each driver returns structured data and can print the same rows/series
-the paper reports.  ``benchmarks/`` wraps these with pytest-benchmark;
-``examples/`` calls them interactively.
+the paper reports.  ``tests/test_experiments.py`` asserts the paper's
+bands on them; ``examples/`` calls them interactively.
 """
 
 from repro.experiments.fig1 import run_fig1a

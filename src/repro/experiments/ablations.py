@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from repro.config import SystemConfig
 from repro.experiments.reporting import geomean, print_table
 from repro.experiments.runner import ExperimentSettings
-from repro.experiments.sweep import WorkUnit, pair_unit, predicted_unit, run_units
+from repro.experiments.sweep import WorkUnit, predicted_unit, run_unit, run_units
 
 HOMING_APP = "<PR, GRAPH>"
 REPLICATION_APP = "<AES, QUERY>"
@@ -110,8 +110,8 @@ def ablate_binding(
         units[(name, "static-32/32")] = predicted_unit(
             name, f"static-{half}", ("static", half)
         )
-        # The heuristic is the machine default: share the pair cache.
-        units[(name, "heuristic")] = pair_unit(name, "ironhide")
+        # The heuristic is the machine default: share the default run.
+        units[(name, "heuristic")] = run_unit(name, "ironhide")
         units[(name, "optimal")] = predicted_unit(name, "optimal", ("optimal",))
     payloads = run_units(units.values(), settings, jobs=jobs, copy_results=False)
     ratios: Dict[str, List[float]] = {"static-32/32": [], "heuristic": [], "optimal": []}

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.experiments.reporting import geomean, print_table
 from repro.experiments.runner import ExperimentSettings
-from repro.experiments.sweep import WorkUnit, pair_unit, predicted_unit, run_units
+from repro.experiments.sweep import WorkUnit, predicted_unit, run_unit, run_units
 from repro.workloads import APPS
 
 VARIATION_PERCENTS = (5, 10, 15, 25)
@@ -48,7 +48,7 @@ def _variant_units(percents) -> List[Tuple[str, WorkUnit]]:
     """(variant label, work unit) for every IRONHIDE run in the figure.
 
     The heuristic variant is the machine's default predictor, so it is
-    expressed as a plain ``pair`` unit and shares stored results with
+    expressed as a plain ``run`` unit and shares stored results with
     the Figure 1/6 matrices.
     """
     units = []
@@ -57,7 +57,7 @@ def _variant_units(percents) -> List[Tuple[str, WorkUnit]]:
         specs.append((f"+{pct}%", ("fixed", pct)))
         specs.append((f"-{pct}%", ("fixed", -pct)))
     for app in APPS:
-        units.append(("heuristic", pair_unit(app.name, "ironhide")))
+        units.append(("heuristic", run_unit(app.name, "ironhide")))
         for variant, spec in specs:
             units.append((variant, predicted_unit(app.name, variant, spec)))
     return units
@@ -73,7 +73,7 @@ def run_fig8(
     """Run the predictor-variant sweep; returns the MI6=100 series."""
     settings = settings or ExperimentSettings()
     variant_units = _variant_units(percents)
-    mi6_units = {app.name: pair_unit(app.name, "mi6") for app in APPS}
+    mi6_units = {app.name: run_unit(app.name, "mi6") for app in APPS}
     batch = list(mi6_units.values()) + [unit for _, unit in variant_units]
     results = run_units(batch, settings, jobs=jobs, chunk=chunk, copy_results=False)
 

@@ -17,8 +17,9 @@ just means), normalized to the insecure baseline running the *same*
 user's load.
 
 Each distinct ``(app, trace_scale, interactions)`` tuple runs once per
-machine as a ``pop_pair`` :class:`~repro.experiments.sweep.WorkUnit`
-(:func:`~repro.experiments.sweep.population_unit`), so the whole
+machine as a ``run`` :class:`~repro.experiments.sweep.WorkUnit` with
+the scale and session length in its params
+(:func:`~repro.experiments.sweep.run_unit`), so the whole
 figure shards over the chunked process pool and persists to the result
 store, and the quantized sampler makes the unit count grow with the
 distinct-tuple count, not the user count: population sizes are prefix
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.experiments.reporting import print_table
 from repro.experiments.runner import ExperimentSettings
-from repro.experiments.sweep import population_unit, run_units
+from repro.experiments.sweep import run_unit, run_units
 from repro.machines import MACHINES as MACHINE_REGISTRY
 from repro.workloads.population import (
     PopulationSpec,
@@ -180,7 +181,7 @@ def run_figpop(
     (smaller sizes are prefixes), collapses it onto distinct
     ``(app, scale, interactions)`` tuples, and runs each tuple once per
     machine (plus the insecure denominator) as a single batch of
-    ``pop_pair`` work units — so the sweep shards over the (chunked)
+    ``run`` work units — so the sweep shards over the (chunked)
     process pool and replays from a warm result store without a single
     machine run.  Per-user overheads are then read off the tuple
     results and reduced to nearest-rank p50/p95/p99 per (size, skew,
@@ -198,7 +199,7 @@ def run_figpop(
             app, scale, interactions = tup
             for machine in ("insecure",) + curves:
                 units.setdefault(
-                    (tup, machine), population_unit(app, machine, scale, interactions)
+                    (tup, machine), run_unit(app, machine, scale, interactions)
                 )
     payloads = run_units(
         units.values(), settings, jobs=jobs, chunk=chunk, copy_results=False

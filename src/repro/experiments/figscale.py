@@ -19,7 +19,7 @@ result: the per-crossing flush machines (MI6, SIMF) amortize toward
 the purge-free machines as interactions lengthen, fence.t.s's periodic
 fence sits near SGX, and IRONHIDE stays flat.
 
-Each (scale, app, machine) point is one ``scaled_pair``
+Each (scale, app, machine) point is one scaled ``run``
 :class:`~repro.experiments.sweep.WorkUnit`, so the whole figure shards
 over the chunked process pool and persists to the result store (the
 scale rides in the unit params and therefore in the store key).
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.experiments.reporting import geomean, print_table
 from repro.experiments.runner import ExperimentSettings
-from repro.experiments.sweep import run_units, scaled_pair_unit
+from repro.experiments.sweep import run_unit, run_units
 from repro.machines import MACHINES as MACHINE_REGISTRY
 from repro.workloads import APPS, OS_APPS, USER_APPS
 
@@ -137,7 +137,7 @@ def run_figscale(
     settings = figscale_settings(settings or ExperimentSettings())
     curves = tuple(m for m in (machines or MACHINES) if m != "insecure")
     units = {
-        (scale, app.name, machine): scaled_pair_unit(app.name, machine, scale)
+        (scale, app.name, machine): run_unit(app.name, machine, scale)
         for scale in scales
         for app in APPS
         for machine in ("insecure",) + curves

@@ -146,12 +146,12 @@ class ExperimentSettings:
         """Memoization key for one (app, machine) run under these knobs.
 
         Matches the key :func:`~repro.experiments.sweep.unit_cache_key`
-        derives for the equivalent ``pair`` work unit, so direct callers
-        and the sweep scheduler share stored results.
+        derives for the equivalent default ``run`` work unit, so direct
+        callers and the sweep scheduler share stored results.
         """
-        from repro.experiments.sweep import pair_unit, unit_cache_key
+        from repro.experiments.sweep import run_unit, unit_cache_key
 
-        return unit_cache_key(pair_unit(app.name, machine_name), self)
+        return unit_cache_key(run_unit(app.name, machine_name), self)
 
 
 def run_one(
@@ -199,13 +199,13 @@ def run_matrix(
     drivers, which immediately reduce the results without mutating
     them.
     """
-    from repro.experiments.sweep import pair_unit, run_units
+    from repro.experiments.sweep import run_unit, run_units
 
     settings = settings or ExperimentSettings()
     apps = list(apps) if apps is not None else list(APPS)
     machines = tuple(machines)
     units = [
-        pair_unit(app.name, machine_name)
+        run_unit(app.name, machine_name)
         for app in apps
         for machine_name in machines
     ]

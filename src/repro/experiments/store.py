@@ -52,7 +52,9 @@ from repro.sim.stats import Breakdown, ProcessStats, RunResult
 #: v2: entries embed a canonical SHA-256 ``digest`` of the encoded value
 #: so torn or bit-flipped payloads are detected (and quarantined) even
 #: when they still parse as JSON.
-SCHEMA_VERSION = 2
+#: v3: every (app, machine) run is one ``run`` unit kind, with trace
+#: scale and session length in its params, so every run key changed.
+SCHEMA_VERSION = 3
 
 #: Write failures that degrade the store to memory-only instead of
 #: crashing the sweep: disk/quota full, permissions, read-only mounts.

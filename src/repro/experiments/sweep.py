@@ -570,74 +570,40 @@ def _run_units_armed(
 # ---------------------------------------------------------------------------
 
 
-def pair_unit(app_name: str, machine_name: str) -> WorkUnit:
-    """One (app, machine) run with the machine's default configuration."""
-    return WorkUnit("pair", app=app_name, machine=machine_name)
-
-
-@unit_runner("pair")
-def _run_pair(unit: WorkUnit, settings):
-    return _runner.run_one(get_app(unit.app), unit.machine, settings)
-
-
-def scaled_pair_unit(app_name: str, machine_name: str, scale: float) -> WorkUnit:
-    """One (app, machine) run with ``AppSpec.trace_scale`` overridden.
-
-    The scale rides in ``params`` (and therefore in the store key), so
-    scaled runs never collide with the default-length ``pair`` results
-    even though the registered app's own ``trace_scale`` stays 1.0.
-    """
-    return WorkUnit(
-        "scaled_pair",
-        app=app_name,
-        machine=machine_name,
-        variant=f"x{scale:g}",
-        params=(float(scale),),
-    )
-
-
-@unit_runner("scaled_pair")
-def _run_scaled_pair(unit: WorkUnit, settings):
-    """Run one pair with the app's per-interaction traces scaled."""
-    from dataclasses import replace as replace_spec
-
-    app = replace_spec(get_app(unit.app), trace_scale=float(unit.params[0]))
-    return _runner.run_one(app, unit.machine, settings)
-
-
-def population_unit(
-    app_name: str, machine_name: str, scale: float, interactions: int
+def run_unit(
+    app_name: str,
+    machine_name: str,
+    scale: Optional[float] = None,
+    interactions: Optional[int] = None,
 ) -> WorkUnit:
-    """One served-user (app, machine) run: scaled trace, explicit session.
+    """One (app, machine) run, optionally with a scaled trace and session.
 
-    A population collapses onto distinct ``(app, trace_scale,
-    interactions)`` tuples (:mod:`repro.workloads.population`); each
-    tuple runs once per machine as one of these units.  Both the scale
-    and the per-user interaction count ride in ``params`` (and
-    therefore in the store key), so population runs never collide with
-    ``pair``/``scaled_pair`` results that use the settings' counts.
+    With no overrides the run uses the machine's default configuration
+    and the settings' interaction counts.  ``scale`` overrides
+    ``AppSpec.trace_scale``; ``interactions`` (which implies a scale,
+    default 1.0) replaces both settings counts with one session length.
+    The overrides ride in ``params`` and therefore in the store key, so
+    an overridden run never collides with a default one, even when the
+    values match the defaults.
     """
-    return WorkUnit(
-        "pop_pair",
-        app=app_name,
-        machine=machine_name,
-        variant=f"x{scale:g}n{int(interactions)}",
-        params=(float(scale), int(interactions)),
-    )
+    params: Tuple = ()
+    if scale is not None or interactions is not None:
+        params = (float(1.0 if scale is None else scale),)
+    if interactions is not None:
+        params += (int(interactions),)
+    return WorkUnit("run", app=app_name, machine=machine_name, params=params)
 
 
-@unit_runner("pop_pair")
-def _run_pop_pair(unit: WorkUnit, settings):
-    """Run one served-user tuple: scale the traces, set the session length."""
-    from dataclasses import replace as replace_spec
-
-    app = replace_spec(get_app(unit.app), trace_scale=float(unit.params[0]))
-    run_settings = replace_spec(
-        settings,
-        n_user=int(unit.params[1]),
-        n_os=int(unit.params[1]),
-    )
-    return _runner.run_one(app, unit.machine, run_settings)
+@unit_runner("run")
+def _run_app(unit: WorkUnit, settings):
+    app = get_app(unit.app)
+    if unit.params:
+        app = replace(app, trace_scale=float(unit.params[0]))
+    if len(unit.params) > 1:
+        settings = replace(
+            settings, n_user=int(unit.params[1]), n_os=int(unit.params[1])
+        )
+    return _runner.run_one(app, unit.machine, settings)
 
 
 def attack_unit(kind: str, machine_name: str, scale: float) -> WorkUnit:

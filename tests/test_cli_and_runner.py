@@ -392,7 +392,7 @@ class TestChunking:
         """run_units falls back to ``settings.chunk`` when the call
         site does not pass one (the CLI wires --chunk through here)."""
         from repro.experiments import sweep as sweep_mod
-        from repro.experiments.sweep import pair_unit, run_units
+        from repro.experiments.sweep import run_unit, run_units
 
         seen = {}
         real = sweep_mod.resolve_chunk
@@ -403,8 +403,8 @@ class TestChunking:
 
         monkeypatch.setattr(sweep_mod, "resolve_chunk", spy)
         settings = ExperimentSettings(n_user=2, n_os=4, chunk=2, no_cache=True)
-        run_units([pair_unit("<AES, QUERY>", "insecure"),
-                   pair_unit("<AES, QUERY>", "sgx")], settings, jobs=2)
+        run_units([run_unit("<AES, QUERY>", "insecure"),
+                   run_unit("<AES, QUERY>", "sgx")], settings, jobs=2)
         assert seen["chunk"] == 2
 
     def test_chunked_store_stats_not_double_counted(self, tmp_path):
@@ -412,12 +412,12 @@ class TestChunking:
         unit: the workers' per-unit re-checks must not re-merge the
         misses the parent scan already counted."""
         from repro.experiments import store as store_mod
-        from repro.experiments.sweep import pair_unit, run_units
+        from repro.experiments.sweep import run_unit, run_units
 
         store_mod.reset_stores()
         runner_mod.clear_result_cache()
         settings = ExperimentSettings(n_user=2, n_os=4, cache_dir=str(tmp_path))
-        units = [pair_unit("<AES, QUERY>", m) for m in ("insecure", "sgx")]
+        units = [run_unit("<AES, QUERY>", m) for m in ("insecure", "sgx")]
         run_units(units, settings, jobs=2, chunk=1)
         stats = store_mod.get_store(str(tmp_path)).stats
         assert stats.misses == len(units)
@@ -427,10 +427,10 @@ class TestChunking:
         """``no_cache`` must bypass the chunk workers' warm-read fast
         path too, not only the parent's pre-scan."""
         from repro.experiments import sweep as sweep_mod
-        from repro.experiments.sweep import pair_unit, run_units
+        from repro.experiments.sweep import run_unit, run_units
 
         settings = ExperimentSettings(n_user=2, n_os=4, cache_dir=str(tmp_path))
-        unit = pair_unit("<AES, QUERY>", "insecure")
+        unit = run_unit("<AES, QUERY>", "insecure")
         run_units([unit], settings)  # persists the result
 
         chunk_settings = ExperimentSettings(

@@ -178,6 +178,7 @@ class TestAblations:
     def test_dynamic_binding_beats_static(self, settings):
         out = ablate_binding(settings, verbose=False)
         assert out["heuristic"] <= 1.02
+        assert out["optimal"] <= 1.02
         assert out["optimal"] <= out["heuristic"] * 1.05
 
     def test_purge_anatomy_dynamic_component(self, settings):
@@ -185,6 +186,7 @@ class TestAblations:
         user = out["<PR, GRAPH>"]
         os_ = out["<MEMCACHED, OS>"]
         assert user["mc_drain"] > os_["mc_drain"]
+        assert user["total"] > os_["total"]
         assert user["dummy_read"] == os_["dummy_read"]  # fixed component
 
     def test_replication_helps_baseline(self, settings):

@@ -247,14 +247,14 @@ class TestPopulationSteadyState:
     MACHINES = ("insecure", "sgx")
 
     def _units(self):
-        from repro.experiments.sweep import population_unit
+        from repro.experiments.sweep import run_unit
 
         users = sample_population(0, 12, PopulationSpec(skew=0.6))
         tuples = {
             (u.app, u.trace_scale, min(u.interactions, 6)) for u in users
         }
         return [
-            population_unit(app, machine, scale, interactions)
+            run_unit(app, machine, scale, interactions)
             for app, scale, interactions in sorted(tuples)
             for machine in self.MACHINES
         ]

@@ -620,19 +620,19 @@ class TestMachineEquivalence:
 
         Samples the head of a skewed population and replays each user's
         (app, trace_scale, interactions) tuple through the real
-        ``pop_pair`` unit executor on both engines — so the scaled
+        ``run`` unit executor on both engines — so the scaled
         traces and per-user session lengths figpop serves ride the same
         equivalence guarantee as the fixed mixes.  Parametrized over
         the whole ``MACHINES`` registry via the shared ``machine_name``
         fixture — the second gate the registry-coverage meta-test in
         ``test_machines.py`` keys on.
         """
-        from repro.experiments.sweep import execute_unit, population_unit
+        from repro.experiments.sweep import execute_unit, run_unit
         from repro.workloads.population import PopulationSpec, sample_population
 
         users = sample_population(pop_seed, 2, PopulationSpec(skew=1.4))
         for user in users:
-            unit = population_unit(
+            unit = run_unit(
                 user.app, machine_name, user.trace_scale,
                 min(user.interactions, 4),
             )

@@ -23,7 +23,7 @@ from repro.experiments.store import (
     ResultStore,
     get_store,
 )
-from repro.experiments.sweep import pair_unit, unit_cache_key
+from repro.experiments.sweep import run_unit, unit_cache_key
 from repro.workloads import get_app
 
 KEY = ("unit-test", "<AES, QUERY>", "sgx", "deadbeef", 2, 0)
@@ -95,11 +95,24 @@ class TestValidation:
     def test_engine_mismatch_means_different_key(self):
         """The replay engine is part of the config hash, so results
         computed under one engine are never served for the other."""
-        unit = pair_unit("<AES, QUERY>", "sgx")
+        unit = run_unit("<AES, QUERY>", "sgx")
         scalar = ExperimentSettings(n_user=2)
         vector = ExperimentSettings(n_user=2)
         vector.config = vector.config.with_engine("vector")
         assert unit_cache_key(unit, scalar) != unit_cache_key(unit, vector)
+
+    def test_run_unit_overrides_get_distinct_keys(self):
+        """A default run, a run at scale 1.0 and one with an explicit
+        session length never share a store entry, even where the
+        override values equal the defaults."""
+        settings = ExperimentSettings(n_user=2, n_os=4)
+        units = [
+            run_unit("<AES, QUERY>", "sgx"),
+            run_unit("<AES, QUERY>", "sgx", 1.0),
+            run_unit("<AES, QUERY>", "sgx", 1.0, 2),
+        ]
+        keys = {unit_cache_key(unit, settings) for unit in units}
+        assert len(keys) == len(units)
 
     def test_corrupted_file_recovery(self, tmp_path, sample_result):
         store = ResultStore(tmp_path)
@@ -249,7 +262,7 @@ class TestNoCache:
         run_matrix(apps, ("insecure",), bypass)
         assert len(calls) == 1
         store = get_store(str(tmp_path))
-        assert store.path_for(unit_cache_key(pair_unit("<AES, QUERY>", "insecure"), bypass)).exists()
+        assert store.path_for(unit_cache_key(run_unit("<AES, QUERY>", "insecure"), bypass)).exists()
         run_matrix(apps, ("insecure",), bypass)
         assert len(calls) == 2  # reads bypassed: recomputed
         reading = ExperimentSettings(n_user=2, n_os=4, cache_dir=str(tmp_path))
@@ -323,7 +336,7 @@ class TestEviction:
         settings = ExperimentSettings(
             n_user=2, n_os=4, cache_dir=str(tmp_path), cache_max_mb=0.25
         )
-        run_units([pair_unit("<AES, QUERY>", "insecure")], settings)
+        run_units([run_unit("<AES, QUERY>", "insecure")], settings)
         assert get_store(str(tmp_path)).max_bytes == int(0.25 * 1024 * 1024)
 
 

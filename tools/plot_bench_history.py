@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Render the BENCH_history.jsonl perf trajectory to SVG (or PNG).
+"""Render the BENCH_history.jsonl perf trajectory to SVG.
 
 Reads the append-only snapshot lines that ``run_tiers.py --bench``
 accumulates (see docs/benchmarking.md for the schema) and draws three
@@ -13,13 +13,11 @@ stacked panels over snapshot index:
 The measures have different units, so each gets its own panel with one
 y-axis (never a dual-axis chart).  The SVG backend is the shared
 dependency-free helper module ``src/repro/experiments/plotting.py`` —
-the same palette and panel renderer the fig6/fig8/figscale charts use;
-with matplotlib installed ``--png`` renders the same panels to PNG
-instead.
+the same palette and panel renderer the fig6/fig8/figscale charts use.
 
 Usage:
     python tools/plot_bench_history.py
-        [--history BENCH_history.jsonl] [--out BENCH_history.svg] [--png]
+        [--history BENCH_history.jsonl] [--out BENCH_history.svg]
 """
 
 from __future__ import annotations
@@ -34,10 +32,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments.plotting import (  # noqa: E402 (path bootstrap above)
     ENGINE_COLORS,
-    GRID,
-    SURFACE,
     TEXT,
-    TEXT_MUTED,
     legend,
     line_panel,
     svg_document,
@@ -72,7 +67,8 @@ def extract_series(snapshots: list) -> dict:
     for snap in snapshots:
         ts = snap.get("timestamp", "")
         series["labels"].append(ts.split("T")[0] if ts else "?")
-        tp = snap.get("accesses_per_s", {})
+        # Replay numbers sit under "replay"; older lines kept them at the top.
+        tp = snap.get("replay", snap).get("accesses_per_s", {})
         e2e = snap.get("e2e", {})
         for engine in ("vector", "scalar"):
             val = tp.get(engine)
@@ -112,60 +108,13 @@ def render_svg(series: dict, out_path: Path) -> None:
     out_path.write_text(svg_document(parts, 760, height), encoding="utf-8")
 
 
-# ---------------------------------------------------------------------------
-# Optional matplotlib backend (PNG)
-# ---------------------------------------------------------------------------
-
-
-def render_png(series: dict, out_path: Path) -> None:
-    """Render the same panels as PNG (requires matplotlib)."""
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    labels = series["labels"]
-    x = range(len(labels))
-    panels = [
-        ("Replay throughput (Fig. 6 mix)", "M accesses/s", series["throughput"]),
-        ("Cold fig6 --quick end to end", "seconds", series["e2e"]),
-        ("Cold figscale --quick end to end", "seconds", series["figscale"]),
-    ]
-    panels = [p for p in panels if any(
-        v is not None for vals in p[2].values() for v in vals
-    )]
-    fig, axes = plt.subplots(len(panels), 1, figsize=(8, 3 * len(panels)),
-                             sharex=True)
-    if len(panels) == 1:
-        axes = [axes]
-    fig.patch.set_facecolor(SURFACE)
-    for ax, (title, unit, data) in zip(axes, panels):
-        ax.set_facecolor(SURFACE)
-        for engine, values in data.items():
-            ax.plot(x, values, color=ENGINE_COLORS[engine], linewidth=2,
-                    marker="o", markersize=5, label=f"{engine} engine")
-        ax.set_title(title, fontsize=11, color=TEXT, loc="left")
-        ax.set_ylabel(unit, fontsize=9, color=TEXT_MUTED)
-        ax.grid(axis="y", color=GRID, linewidth=1)
-        ax.set_ylim(bottom=0)
-        for spine in ("top", "right"):
-            ax.spines[spine].set_visible(False)
-    axes[0].legend(frameon=False, fontsize=9)
-    axes[-1].set_xticks(list(x))
-    axes[-1].set_xticklabels(labels, fontsize=7, rotation=30, ha="right")
-    fig.tight_layout()
-    fig.savefig(out_path, dpi=150)
-
-
 def main(argv=None) -> int:
-    """CLI entry point: load the history, render SVG or PNG."""
+    """CLI entry point: load the history, render the SVG."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--history", type=Path,
                         default=REPO / "BENCH_history.jsonl")
     parser.add_argument("--out", type=Path, default=None,
-                        help="output path (default BENCH_history.svg/.png)")
-    parser.add_argument("--png", action="store_true",
-                        help="render PNG via matplotlib instead of plain SVG")
+                        help="output path (default BENCH_history.svg)")
     args = parser.parse_args(argv)
 
     if not args.history.exists():
@@ -178,18 +127,8 @@ def main(argv=None) -> int:
         return 1
     series = extract_series(snapshots)
 
-    suffix = ".png" if args.png else ".svg"
-    out = args.out or (REPO / f"BENCH_history{suffix}")
-    if args.png:
-        try:
-            render_png(series, out)
-        except ImportError:
-            print("ERROR: --png needs matplotlib; falling back is implicit "
-                  "via the default SVG backend (rerun without --png)",
-                  file=sys.stderr)
-            return 1
-    else:
-        render_svg(series, out)
+    out = args.out or (REPO / "BENCH_history.svg")
+    render_svg(series, out)
     print(f"wrote {out} ({len(snapshots)} snapshots)")
     return 0
 

@@ -41,16 +41,15 @@ bounded RSS, clean audit).
 
 Perf is guarded too: unless ``--skip-bench-check`` is given, a final
 phase runs ``bench_replay.py --check``, which fails if replay
-throughput, the cold ``fig6 --quick`` end-to-end time, or the cold
-``figscale``/``figattack``/``figpop`` ``--quick`` end-to-end times
-regressed >25% against the checked-in
-``BENCH_replay.json`` — or if the fault-free retry-bookkeeping
-overhead of ``run_units`` exceeds 2% of the cold quick fig6 e2e time.
-With ``--bench`` the benchmark instead records a fresh
-``BENCH_replay.json`` snapshot (including the e2e, figscale,
-figattack, figpop and sweep-overhead numbers) and appends a
-timestamped line to ``BENCH_history.jsonl``, so the per-PR perf
-trajectory accumulates.
+throughput or the cold ``fig6``/``figscale`` ``--quick`` end-to-end
+times regressed >25% against the checked-in ``BENCH_replay.json``, or
+if the fault-free retry-bookkeeping overhead of ``run_units`` exceeds
+2% of the cold quick fig6 e2e time.  With ``--bench`` the benchmark
+instead records a fresh ``BENCH_replay.json`` snapshot of every
+section (``bench_replay.py --all``) and appends a timestamped line to
+``BENCH_history.jsonl``, so the per-PR perf trajectory accumulates.
+Cold ``figattack`` and ``figpop`` times belong to the repo benchmark
+(``perfbench/run.py``).
 
 With ``--sanitize``, an opt-in phase re-runs the equivalence suite
 over sanitizer-instrumented native kernels
@@ -85,7 +84,7 @@ TIERS = [
 ]
 
 #: Inline-code spans that look like repo paths (checked for existence).
-_PATH_SPAN = re.compile(r"`((?:src|tools|tests|benchmarks|docs)/[^`*]+)`")
+_PATH_SPAN = re.compile(r"`((?:src|tools|tests|docs)/[^`*]+)`")
 #: Markdown links ``[text](target)``.
 _LINK = re.compile(r"\[[^\]]+\]\(([^)]+)\)")
 
@@ -358,8 +357,7 @@ def main(argv=None) -> int:
         phases.append(
             run_phase(
                 "bench",
-                [str(REPO / "tools" / "bench_replay.py"), "--store", "--e2e",
-                 "--figscale", "--figattack", "--figpop", "--sweep-overhead",
+                [str(REPO / "tools" / "bench_replay.py"), "--all",
                  "--json", str(REPO / "BENCH_replay.json"),
                  "--history", str(REPO / "BENCH_history.jsonl")],
             )
@@ -369,8 +367,7 @@ def main(argv=None) -> int:
         phases.append(
             run_phase(
                 "bench-check",
-                [str(REPO / "tools" / "bench_replay.py"), "--check",
-                 "--repeats", "2"],
+                [str(REPO / "tools" / "bench_replay.py"), "--check"],
             )
         )
 
