@@ -18,11 +18,16 @@ module makes the contract static:
     ``c_int64`` — and the ``restype`` must match the C return type.
 
 ``abi.stats-layout``
-    The C kernels report per-batch counters through ``stats_out[k]``
-    (and the multi-slice kernel through ``stats4[4p + k]``).  The
-    highest index written in C fixes the buffer contract; the Python
-    side's ``np.zeros(N)`` allocation, every ``_stats_out[k]`` read and
-    the ``stats4`` stride must agree with it.
+    The C kernels report per-batch counters through ``stats_out[k]``;
+    the highest index written in C fixes the buffer contract, and the
+    Python side's ``np.zeros(N)`` allocation and every
+    ``_stats_out[k]`` read must agree with it.  Strided outputs — C
+    writes ``buf[S * i + k]``, such as ``replay_events``' per-segment
+    counters and per-cache stats — fix a stride ``S`` per buffer name:
+    every written offset must stay below it, ``native.py`` must
+    allocate a buffer of that name as ``np.zeros/np.empty(S * n)``, and
+    its reads (``buf.reshape(-1, S)``, ``buf[S * i + k]``,
+    ``buf[k::S]``) must use the same stride.
 
 ``abi.backend-parity``
     The two cache backends (`SetAssocCache` — the scalar oracle — and
@@ -279,7 +284,10 @@ def compare_kernel_abi(
 
 
 _STATS_WRITE = re.compile(r"\bstats_out\[(\d+)\]\s*=")
-_STATS4_WRITE = re.compile(r"\bstats4\[(\d+)\s*\*\s*p\s*\+\s*(\d+)\]\s*=")
+#: ``buf[S * i + k] =`` or ``+=`` (not ``==``) in C.
+_STRIDED_WRITE = re.compile(
+    r"\b(\w+)\[(\d+)\s*\*\s*\w+\s*\+\s*(\d+)\]\s*\+?=(?!=)"
+)
 
 
 def compare_stats_layout(
@@ -288,9 +296,10 @@ def compare_stats_layout(
     """Check Python's stats buffers against the C ``stats_out`` contract."""
     findings: List[Finding] = []
     text = _C_COMMENT.sub("", c_source)
+    findings.extend(_compare_strided(text, native_tree, rel))
     writes = [int(m.group(1)) for m in _STATS_WRITE.finditer(text)]
     if not writes:
-        return [Finding(
+        return findings + [Finding(
             "abi.stats-layout", rel, 1,
             "no stats_out[...] writes found in _C_SOURCE; the stats "
             "contract checker needs updating",
@@ -302,8 +311,6 @@ def compare_stats_layout(
     alloc_line = 1
     max_read = -1
     max_read_line = 1
-    stats4_stride_py = None
-    stats4_line = 1
     for node in ast.walk(native_tree):
         if isinstance(node, ast.Assign):
             name = dotted_name(node.targets[0]) if node.targets else None
@@ -326,19 +333,6 @@ def compare_stats_layout(
                     if idx.value > max_read:
                         max_read = idx.value
                         max_read_line = node.lineno
-        if isinstance(node, ast.Call):
-            fn = dotted_name(node.func) or ""
-            if fn.endswith("empty") and node.args:
-                arg = node.args[0]
-                if (
-                    isinstance(arg, ast.BinOp)
-                    and isinstance(arg.op, ast.Mult)
-                    and isinstance(arg.left, ast.Constant)
-                    and isinstance(arg.right, ast.Name)
-                    and arg.right.id == "n_parts"
-                ):
-                    stats4_stride_py = int(arg.left.value)
-                    stats4_line = node.lineno
     if alloc_size is not None and alloc_size != c_size:
         findings.append(Finding(
             "abi.stats-layout", rel, alloc_line,
@@ -351,25 +345,95 @@ def compare_stats_layout(
             f"Python reads _stats_out[{max_read}] but the C kernels only "
             f"write {c_size} slots",
         ))
-    stats4 = [(int(m.group(1)), int(m.group(2)))
-              for m in _STATS4_WRITE.finditer(text)]
-    if stats4:
-        strides = {s for s, _ in stats4}
-        max_off = max(off for _, off in stats4)
-        if len(strides) != 1 or max_off >= next(iter(strides)):
+    return findings
+
+
+def _const_int(node: Optional[ast.AST]) -> Optional[int]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return node.value
+    return None
+
+
+def _mult_stride(node: ast.AST) -> Optional[int]:
+    """``S`` of an ``S * x`` expression, else None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _const_int(node.left)
+    return None
+
+
+def _python_strides(native_tree: ast.Module, name: str) -> List[Tuple[str, int, int, int]]:
+    """``(kind, stride, offset, line)`` for each Python use of buffer ``name``.
+
+    Kinds: ``alloc`` (``name = np.zeros/np.empty(S * n)``), ``reshape``
+    (``name.reshape(-1, S)``) and ``read`` (``name[S * i + k]`` or
+    ``name[k::S]``).  An unrecognised stride reads as -1.
+    """
+    uses = []
+    for node in ast.walk(native_tree):
+        if (
+            isinstance(node, ast.Assign)
+            and dotted_name(node.targets[0]) == name
+            and isinstance(node.value, ast.Call)
+            and (dotted_name(node.value.func) or "").endswith(("zeros", "empty"))
+        ):
+            stride = _mult_stride(node.value.args[0]) if node.value.args else None
+            uses.append(("alloc", stride or -1, 0, node.lineno))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "reshape"
+            and dotted_name(node.func.value) == name
+        ):
+            uses.append(("reshape", _const_int(node.args[-1]) or -1, 0, node.lineno))
+        elif isinstance(node, ast.Subscript) and dotted_name(node.value) == name:
+            idx = node.slice
+            if isinstance(idx, ast.Slice) and idx.step is not None:
+                stride, offset = _const_int(idx.step), _const_int(idx.lower) or 0
+            elif isinstance(idx, ast.BinOp) and isinstance(idx.op, ast.Add):
+                stride, offset = _mult_stride(idx.left), _const_int(idx.right)
+            else:
+                continue
+            if stride is not None and offset is not None:
+                uses.append(("read", stride, offset, node.lineno))
+    return uses
+
+
+def _compare_strided(text: str, native_tree: ast.Module, rel: str) -> List[Finding]:
+    """C strided output buffers vs their Python allocation and reads."""
+    findings: List[Finding] = []
+    written: Dict[str, List[Tuple[int, int]]] = {}
+    for m in _STRIDED_WRITE.finditer(text):
+        written.setdefault(m.group(1), []).append(
+            (int(m.group(2)), int(m.group(3)))
+        )
+    for name, writes in sorted(written.items()):
+        strides = {s for s, _ in writes}
+        stride = next(iter(strides))
+        max_off = max(off for _, off in writes)
+        if len(strides) != 1 or max_off >= stride:
             findings.append(Finding(
                 "abi.stats-layout", rel, 1,
-                f"inconsistent stats4 layout in C: strides {sorted(strides)},"
+                f"inconsistent {name} layout in C: strides {sorted(strides)},"
                 f" max offset {max_off}",
             ))
-        elif stats4_stride_py is not None and (
-            stats4_stride_py != next(iter(strides))
-        ):
+            continue
+        uses = _python_strides(native_tree, name)
+        if not any(kind == "alloc" for kind, *_ in uses):
             findings.append(Finding(
-                "abi.stats-layout", rel, stats4_line,
-                f"Python allocates stats4 with stride {stats4_stride_py} "
-                f"but the C kernel writes stride {next(iter(strides))}",
+                "abi.stats-layout", rel, 1,
+                f"C writes {name}[{stride} * i + k] but native.py never "
+                f"allocates a buffer named {name}",
             ))
+        for kind, py_stride, offset, line in uses:
+            if py_stride != stride or offset >= stride:
+                what = {"alloc": "allocates", "reshape": "reshapes",
+                        "read": "reads"}[kind]
+                findings.append(Finding(
+                    "abi.stats-layout", rel, line,
+                    f"Python {what} {name} with stride {py_stride}"
+                    f"{f' offset {offset}' if kind == 'read' else ''} but "
+                    f"the C kernel writes stride {stride}",
+                ))
     return findings
 
 

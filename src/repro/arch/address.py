@@ -107,14 +107,12 @@ class VirtualMemory:
         ``vpages`` must be a 1-D array of *unique* virtual page numbers.
         Returns the matching global frame numbers, allocating on demand.
         """
-        missing = [int(p) for p in vpages if int(p) not in self.page_table]
+        pages = vpages.tolist() if isinstance(vpages, np.ndarray) else list(vpages)
+        table = self.page_table
+        missing = [p for p in pages if p not in table]
         if missing:
-            frames = self.address_space.alloc(len(missing), self.regions)
-            for vpage, frame in zip(missing, frames):
-                self.page_table[vpage] = frame
-        return np.fromiter(
-            (self.page_table[int(p)] for p in vpages), dtype=np.int64, count=len(vpages)
-        )
+            table.update(zip(missing, self.address_space.alloc(len(missing), self.regions)))
+        return np.asarray([table[p] for p in pages], dtype=np.int64)
 
     def translate(self, vpage: int) -> int:
         """Translate a single virtual page, allocating on first touch."""

@@ -36,15 +36,15 @@ once per hierarchy, which one actually runs:
     per event, exactly as a hardware walk would order them.
 
 ``vector``
-    The batched engine.  Translation, homing, TLB page-change detection
-    and all latency arithmetic are vectorized with NumPy; cache events
-    run through the compiled :class:`repro.arch.native.NativeCache`
-    batch kernels — the full event list filters through the L1 once,
-    and the surviving misses, sorted by home slice, replay through all
-    slices in one multi-slice kernel call.  Traces of at most
-    :data:`SMALL_TRACE` accesses skip NumPy: a list front end feeds the
-    per-event loop, run over the compiled caches (see
-    :meth:`MemoryHierarchy.run_trace`).  Without a C toolchain a
+    The compiled engine.  Run-length compression, translation and
+    homing run in NumPy; the events then replay through the fused
+    :func:`repro.arch.native.replay_events` kernel — the oracle's
+    per-event rule, compiled, over the
+    :class:`repro.arch.native.NativeCache` matrices — in one call per
+    trace (or per batched epoch, see :mod:`repro.arch.batch_replay`).
+    Traces of at most :data:`SMALL_TRACE` accesses skip NumPy: a list
+    front end feeds the per-event loop, run over the compiled caches
+    (see :meth:`MemoryHierarchy.run_trace`).  Without a C toolchain a
     ``vector`` configuration runs the scalar oracle instead.
 
 Both engines produce bit-identical :class:`TraceResult` counters, cache
@@ -71,8 +71,8 @@ from repro.arch.mesh import MeshTopology
 from repro.arch.native import (
     NativeCache,
     NativeTlb,
-    multi_slice_flags_wb,
     native_available,
+    replay_events,
 )
 from repro.arch.tlb import Tlb
 from repro.config import SystemConfig
@@ -260,10 +260,45 @@ class MemoryHierarchy:
             [v] * config.mem.n_controllers for v in mc_dist.min(axis=1).tolist()
         ]
         self._avg_dist_cache: Dict[tuple, list] = {}
+        self._kernel_tables = None
+        if vector:
+            self._init_kernel_tables()
         # Contexts with L2 replication enabled, tracked (weakly, by
         # identity — ProcessContext is an eq-dataclass and unhashable)
         # so purges and page moves can invalidate replica bookkeeping.
         self._replica_refs: Dict[int, "weakref.ref[ProcessContext]"] = {}
+
+    def _init_kernel_tables(self) -> None:
+        """Fixed inputs of :func:`~repro.arch.native.replay_events`.
+
+        The lazy accessors fill the pointer tables as they create
+        components, so no call rebuilds them.  Controller distances are
+        flattened per (tile, controller); the NUMA table repeats each
+        slice's nearest controller.
+        """
+        cfg = self.config
+        n_tiles = self.mesh.n_cores
+        n_mc = cfg.mem.n_controllers
+        self._cache_tab = np.zeros(4 * 2 * n_tiles, dtype=np.int64)
+        self._tlb_tab = np.zeros(3 * n_tiles, dtype=np.int64)
+        geom = np.asarray([
+            cfg.l1.n_sets - 1, cfg.l1.associativity,
+            cfg.l2_slice.n_sets - 1, cfg.l2_slice.associativity,
+            cfg.tlb.entries, n_tiles, n_mc,
+        ], dtype=np.int64)
+        lat = np.asarray([
+            2 * (cfg.noc.hop_latency + cfg.noc.router_latency),
+            cfg.l2_slice.hit_latency,
+            cfg.mem.dram_latency + cfg.mem.mc_service_latency,
+            cfg.tlb.miss_walk_latency,
+        ], dtype=np.float64)
+        self._kernel_tables = (self._cache_tab, self._tlb_tab, geom, lat)
+        mc_dist = self.mesh.mc_distances.astype(np.float64)
+        self._d_mc_tabs = (
+            np.ascontiguousarray(mc_dist).ravel(),
+            np.repeat(mc_dist.min(axis=1), n_mc),
+        )
+        self._avg_dist_arrays: Dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Component accessors (lazy)
@@ -273,6 +308,8 @@ class MemoryHierarchy:
         if cache is None:
             cache = self._cache_cls(self.config.l1, f"L1[{core}]")
             self._l1[core] = cache
+            if self._kernel_tables is not None:
+                self._cache_tab[4 * core : 4 * core + 4] = cache._state_ptrs
         return cache
 
     def tlb_for(self, core: int) -> Union[Tlb, NativeTlb]:
@@ -280,6 +317,8 @@ class MemoryHierarchy:
         if tlb is None:
             tlb = self._tlb_cls(self.config.tlb, f"TLB[{core}]")
             self._tlb[core] = tlb
+            if self._kernel_tables is not None:
+                self._tlb_tab[3 * core : 3 * core + 3] = tlb._ptrs
         return tlb
 
     def l2_slice(self, tile: int) -> AnyCache:
@@ -287,6 +326,9 @@ class MemoryHierarchy:
         if cache is None:
             cache = self._cache_cls(self.config.l2_slice, f"L2[{tile}]")
             self._l2[tile] = cache
+            if self._kernel_tables is not None:
+                slot = self.mesh.n_cores + tile
+                self._cache_tab[4 * slot : 4 * slot + 4] = cache._state_ptrs
         return cache
 
     # ------------------------------------------------------------------
@@ -437,7 +479,8 @@ class MemoryHierarchy:
         one line per call) takes a list-based front end and the
         per-event loop over the compiled caches, because NumPy's fixed
         cost per array operation outweighs the work of a few events.
-        Longer traces take the NumPy front end and the batch kernels.
+        Longer traces take the NumPy front end and one call of the
+        fused ``replay_events`` kernel.
         Both front ends translate, home and check entitlement in the
         same order, so page allocation, homing and the first raised
         violation do not depend on the path taken.
@@ -703,7 +746,7 @@ class MemoryHierarchy:
         )
 
     # ------------------------------------------------------------------
-    # Vector engine (batched)
+    # Vector engine (the fused kernel)
     # ------------------------------------------------------------------
     def _replay_vector(
         self,
@@ -716,110 +759,82 @@ class MemoryHierarchy:
         ev_mcs: np.ndarray,
         compressed_hits: int,
     ) -> None:
-        cfg = self.config
-        n_events = len(ev_plines)
-        rep = ctx.rep_core
-        l1 = self.l1_for(rep)
-        tlb = self.tlb_for(rep)
-
-        hop2 = 2 * (cfg.noc.hop_latency + cfg.noc.router_latency)
-        l2_lat = cfg.l2_slice.hit_latency
-        dram_lat = cfg.mem.dram_latency + cfg.mem.mc_service_latency
-        walk = cfg.tlb.miss_walk_latency
-
-        # TLB: only page-change events consult the TLB.
-        pchange = np.empty(n_events, dtype=bool)
-        pchange[0] = True
-        np.not_equal(ev_vpages[1:], ev_vpages[:-1], out=pchange[1:])
-        tlb_misses = tlb.access_batch(ev_vpages[pchange])
-
-        l1_snap = l1.stats.snapshot()
-        miss_idx = np.asarray(
-            l1.kernel_filter_misses(ev_plines, ev_writes), dtype=np.intp
+        """One trace as a one-segment :meth:`replay_segments` call."""
+        self.l1_for(ctx.rep_core)
+        self.tlb_for(ctx.rep_core)
+        rep_sets = [ctx._replicated] if ctx.replication else []
+        self.replay_segments(
+            np.asarray([0, len(ev_plines)], dtype=np.int64),
+            np.asarray([ctx.rep_core, 0], dtype=np.int64),
+            (ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs),
+            np.asarray(self.group_row(ctx, 0 if rep_sets else -1), dtype=np.int64),
+            rep_sets,
+            [result],
+            [compressed_hits],
         )
-        l1_misses = len(miss_idx)
-        l1_hits = compressed_hits + n_events - l1_misses
 
-        l2_hits = 0
-        l2_misses = 0
-        mem_cycles = walk * tlb_misses
-        mc_requests: Dict[int, int] = {}
-        l2_writebacks = 0
+    def group_row(self, ctx: ProcessContext, rep: int) -> List[int]:
+        """``ctx``'s row of the kernel's group table.
 
-        if l1_misses:
-            lines_m = ev_plines[miss_idx]
-            homes_m = ev_homes[miss_idx]
-            writes_m = ev_writes[miss_idx]
+        The addresses of its cluster-average core distances and of its
+        controller distances (NUMA-nearest or region-bound), then
+        ``rep``: the index of its replica set in the call, or -1.
+        """
+        cores = tuple(ctx.cores)
+        d_core = self._avg_dist_arrays.get(cores)
+        if d_core is None:
+            d_core = np.asarray(self._avg_core_distances(cores), dtype=np.float64)
+            self._avg_dist_arrays[cores] = d_core
+        d_mc = self._d_mc_tabs[1 if ctx.numa_mc else 0]
+        return [d_core.ctypes.data, d_mc.ctypes.data, rep]
 
-            # Segment the L1 miss stream by home slice; each slice's
-            # subsequence replays through that slice in trace order.
-            horder = np.argsort(homes_m, kind="stable")
-            hs = homes_m[horder]
-            seg = np.empty(l1_misses, dtype=bool)
-            seg[0] = True
-            np.not_equal(hs[1:], hs[:-1], out=seg[1:])
-            bounds = np.flatnonzero(seg).tolist()
-            caches = [self.l2_slice(home) for home in hs[bounds].tolist()]
-            bounds.append(l1_misses)
-            hit_sorted, _, stats4 = multi_slice_flags_wb(
-                caches, bounds, lines_m[horder], writes_m[horder]
-            )
-            l2_writebacks = int(stats4[1::4].sum())
-            l2_hit = np.empty(l1_misses, dtype=np.int8)
-            l2_hit[horder] = hit_sorted
-            hitmask = l2_hit.astype(bool)
-            l2_hits = int(hitmask.sum())
-            l2_misses = l1_misses - l2_hits
+    def replay_segments(
+        self,
+        seg_ev: np.ndarray,
+        seg_info: np.ndarray,
+        events: tuple,
+        group_tab: np.ndarray,
+        rep_sets: List[set],
+        results: List[TraceResult],
+        compressed: Sequence[int],
+    ) -> None:
+        """Replay segments in one fused kernel call; fills their results.
 
-            # Latency arithmetic, fully vectorized.  All terms are dyadic
-            # rationals (distances quantized to 1/64 hop), so the sums
-            # below are exact and match the scalar engine's fold bitwise.
-            d_core = np.asarray(self._avg_core_distances(tuple(ctx.cores)))
-            base_cost = hop2 * d_core[homes_m] + l2_lat
+        The arguments are :func:`~repro.arch.native.replay_events`'s,
+        ``group_tab`` holding one :meth:`group_row` per group.  Every
+        core with events must already have its L1 and TLB.
+        ``compressed`` gives each segment's accesses folded into runs
+        (guaranteed L1 hits).
+        """
+        seg_out, mem_out, mc_out, cache_out = replay_events(
+            seg_ev, seg_info, events, self._kernel_tables, group_tab, rep_sets,
+            self.l2_slice,
+        )
+        self._fold_kernel_stats(cache_out)
 
-            hit_cost = base_cost[hitmask]
-            if ctx.replication and l2_hits:
-                hit_lines = lines_m[hitmask]
-                uniq, first, inv = np.unique(
-                    hit_lines, return_index=True, return_inverse=True
-                )
-                replicated = ctx._replicated
-                already = np.fromiter(
-                    (int(line) in replicated for line in uniq),
-                    dtype=bool,
-                    count=len(uniq),
-                )
-                first_occ = np.zeros(l2_hits, dtype=bool)
-                first_occ[first] = True
-                pay_full = first_occ & ~already[inv]
-                hit_cost = np.where(pay_full, hit_cost, float(hop2 + l2_lat))
-                replicated.update(int(line) for line in uniq[~already])
-            mem_cycles += hit_cost.sum()
+        ev_counts = np.diff(seg_ev).tolist()
+        mem = mem_out.tolist()
+        for k, row in enumerate(seg_out.tolist()):
+            r = results[k]
+            (r.tlb_misses, r.l1_misses, r.l1_writebacks,
+             r.l2_hits, r.l2_misses, r.l2_writebacks) = row
+            r.l1_hits = ev_counts[k] - row[1] + compressed[k]
+            r.mem_cycles = int(mem[k])
+            if row[4]:
+                r.mc_requests = {mc: n for mc, n in enumerate(mc_out[k].tolist()) if n}
 
-            if l2_misses:
-                missmask = ~hitmask
-                mm_homes = homes_m[missmask]
-                mm_mcs = ev_mcs[miss_idx][missmask]
-                if ctx.numa_mc:
-                    dmc_leg = self.mesh.mc_distances.min(axis=1)[mm_homes]
-                else:
-                    dmc_leg = self.mesh.mc_distances[mm_homes, mm_mcs]
-                miss_cost = base_cost[missmask] + hop2 * dmc_leg + dram_lat
-                mem_cycles += miss_cost.sum()
-                mc_vals, mc_counts = np.unique(mm_mcs, return_counts=True)
-                mc_requests = {
-                    int(mc): int(cnt) for mc, cnt in zip(mc_vals, mc_counts)
-                }
-
-        result.l1_hits = l1_hits
-        result.l1_misses = l1_misses
-        result.l2_hits = l2_hits
-        result.l2_misses = l2_misses
-        result.tlb_misses = tlb_misses
-        result.mem_cycles = int(mem_cycles)
-        result.mc_requests = mc_requests
-        result.l1_writebacks = l1.stats.delta(l1_snap).writebacks
-        result.l2_writebacks = l2_writebacks
+    def _fold_kernel_stats(self, cache_out: np.ndarray) -> None:
+        """Fold ``replay_events``' per-slot stats deltas into the components."""
+        n_tiles = self.mesh.n_cores
+        touched = np.flatnonzero(cache_out[:, 0] + cache_out[:, 1])
+        for slot, deltas in zip(touched.tolist(), cache_out[touched].tolist()):
+            if slot < n_tiles:
+                self._l1[slot]._fold(*deltas)
+            elif slot < 2 * n_tiles:
+                self._l2[slot - n_tiles]._fold(*deltas)
+            else:
+                self._tlb[slot - 2 * n_tiles].stats.hits += deltas[0]
+                self._tlb[slot - 2 * n_tiles].stats.misses += deltas[1]
 
     def _avg_core_distances(self, cores: tuple) -> list:
         """Per-slice hop count averaged over the given cores (cached).
@@ -838,15 +853,18 @@ class MemoryHierarchy:
         return cached
 
     def _check_entitlement(self, frames: Sequence[int], ctx: ProcessContext) -> None:
-        """Strong-isolation checks on newly touched frames."""
+        """Strong-isolation checks on newly touched frames (each region once)."""
         fpr = self._frames_per_region
         shared = self.shared_frames
+        passed = set()
         for frame in frames:
             f = int(frame)
             if f in shared:
                 # The IPC buffer: legal from both domains (paper §III-A3).
                 continue
-            self.dram.check_access(f // fpr, ctx.domain)
+            if f // fpr not in passed:
+                self.dram.check_access(f // fpr, ctx.domain)
+                passed.add(f // fpr)
             home = int(self.home_table[f])
             if home >= 0 and home not in ctx.slices:
                 raise CacheIsolationViolation(
@@ -910,19 +928,3 @@ class MemoryHierarchy:
 
     def l2_dirty_lines(self, slices: Sequence[int]) -> int:
         return sum(self._l2[s].dirty_lines for s in slices if s in self._l2)
-
-    def l1_stats_of(self, core: int):
-        return self.l1_for(core).stats
-
-    def l2_aggregate_stats(self, slices: Sequence[int]):
-        from repro.arch.cache import CacheStats
-
-        agg = CacheStats()
-        for s in slices:
-            if s in self._l2:
-                st = self._l2[s].stats
-                agg.hits += st.hits
-                agg.misses += st.misses
-                agg.evictions += st.evictions
-                agg.writebacks += st.writebacks
-        return agg

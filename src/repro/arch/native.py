@@ -1,12 +1,15 @@
 """Optional compiled kernels for the vector replay engine.
 
-The batch replay engine's inner loops — LRU set-associative cache walks
+The replay engine's inner loops — LRU set-associative cache walks
 over per-set tag/dirty/age matrices — are branchy and sequential, which
 caps a pure-Python implementation at a few hundred nanoseconds per
 event.  When a C compiler is available this module builds (once, cached
 under ``.cache/native`` next to the repository sources) a small shared
-library with the two batch kernels and exposes :class:`NativeCache`,
-whose canonical state *is* the NumPy matrices:
+library.  Its main entry point, :func:`replay_events`, replays a whole
+epoch of segments — TLB, L1, home-slice L2, cost and replica accounting
+— in one call; :func:`first_touch` deduplicates pages for the planner.
+The module exposes :class:`NativeCache`, whose canonical state *is* the
+NumPy matrices:
 
 ``tags``
     ``(n_sets, assoc)`` int64, the resident line id per way (-1 empty).
@@ -52,7 +55,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,22 +66,23 @@ _C_SOURCE = r"""
 #include <stdint.h>
 
 typedef int64_t i64;
+typedef int32_t i32;
 typedef int8_t  i8;
+typedef uint64_t u64;
 
 /* LRU set-associative cache access over tag/dirty/age matrices.
  * tags[set*assoc + way] == -1 marks an empty way.  On a hit the age is
  * restamped; on a miss the first empty way (or the minimum-age victim)
  * is (re)filled.
  *
- * Every kernel reports stats_out = {evictions, writebacks, n_wb,
- * dirtied}: `dirtied` counts clean->dirty transitions plus dirty
- * fills, so the caller can maintain the cache's dirty-line occupancy
- * incrementally (dirty_delta = dirtied - writebacks) and the purge
- * models never have to scan the matrices.  `n_wb` is only meaningful
- * for l1_filter_wb (0 otherwise).
+ * Kernels report per-cache stats deltas, among them `dirtied`: clean->
+ * dirty transitions plus dirty fills, so the caller can maintain the
+ * cache's dirty-line occupancy incrementally (dirty_delta = dirtied -
+ * writebacks) and the purge models never have to scan the matrices.
  *
  * l1_filter: records the indices of missing events in miss_pos and
- * returns how many there were. */
+ * returns how many there were; stats_out = {evictions, writebacks,
+ * dirtied}. */
 
 static inline i64 do_access(i64 line, i8 w,
                             i64 *tags, i8 *dirty, i64 *age,
@@ -129,71 +133,33 @@ i64 l1_filter(i64 n, const i64 *lines, const i8 *writes,
     *clock_io = clock;
     stats_out[0] = evictions;
     stats_out[1] = writebacks;
-    stats_out[2] = 0;
-    stats_out[3] = dirtied;
+    stats_out[2] = dirtied;
     return n_miss;
 }
 
-/* l1_filter_wb: additionally records which events caused a dirty-line
- * writeback (wb_pos, indices into the batch), so a batched replay can
- * attribute writebacks to the segment whose access evicted the line. */
+/* Multi-slice variant: one call services a home-sorted miss stream.
+ * Part p covers stream positions [bounds[p], bounds[p+1]) and replays
+ * through the slice whose state buffers are at tags_ptrs[p]/
+ * dirty_ptrs[p]/age_ptrs[p]/clock_ptrs[p] (raw addresses, one entry
+ * per part).  flags[k] is 1 on a hit; per part, stats4[4p..4p+3] =
+ * {evictions, writebacks, hits, dirtied}. */
 
-i64 l1_filter_wb(i64 n, const i64 *lines, const i8 *writes,
-                 i64 *tags, i8 *dirty, i64 *age, i64 *clock_io,
-                 i64 set_mask, i64 assoc,
-                 i64 *miss_pos, i64 *wb_pos, i64 *stats_out)
+void l2_flags_multi(i64 n_parts, const i64 *bounds,
+                    const i64 *tags_ptrs, const i64 *dirty_ptrs,
+                    const i64 *age_ptrs, const i64 *clock_ptrs,
+                    const i64 *lines, const i8 *writes,
+                    i64 set_mask, i64 assoc, i8 *flags, i64 *stats4)
 {
-    i64 clock = *clock_io, n_miss = 0, n_wb = 0, evictions = 0, writebacks = 0;
-    i64 dirtied = 0;
-    for (i64 k = 0; k < n; k++) {
-        i64 wb_before = writebacks;
-        if (!do_access(lines[k], writes[k], tags, dirty, age, &clock,
-                       set_mask, assoc, &evictions, &writebacks, &dirtied))
-            miss_pos[n_miss++] = k;
-        if (writebacks != wb_before)
-            wb_pos[n_wb++] = k;
-    }
-    *clock_io = clock;
-    stats_out[0] = evictions;
-    stats_out[1] = writebacks;
-    stats_out[2] = n_wb;
-    stats_out[3] = dirtied;
-    return n_miss;
-}
-
-/* Multi-slice variant: one call services the whole home-sorted miss
- * stream of an epoch.  Part p covers stream positions
- * [bounds[p], bounds[p+1]) and replays through the slice whose state
- * buffers are at tags_ptrs[p]/dirty_ptrs[p]/age_ptrs[p]/clock_ptrs[p]
- * (raw addresses, one entry per part).  Per part, stats4[4p..4p+3] =
- * {evictions, writebacks, hits, dirtied}; wb_pos collects the
- * positions (into the sorted stream) of dirty-line writebacks across
- * all parts; returns their count. */
-
-i64 l2_flags_wb_multi(i64 n_parts, const i64 *bounds,
-                      const i64 *tags_ptrs, const i64 *dirty_ptrs,
-                      const i64 *age_ptrs, const i64 *clock_ptrs,
-                      const i64 *lines, const i8 *writes,
-                      i64 set_mask, i64 assoc,
-                      i8 *flags, i64 *wb_pos, i64 *stats4)
-{
-    i64 total_wb = 0;
     for (i64 p = 0; p < n_parts; p++) {
-        i64 *tags = (i64 *)tags_ptrs[p];
-        i8  *dirty = (i8 *)dirty_ptrs[p];
-        i64 *age = (i64 *)age_ptrs[p];
         i64 *clock_io = (i64 *)clock_ptrs[p];
         i64 clock = *clock_io;
         i64 hits = 0, evictions = 0, writebacks = 0, dirtied = 0;
         for (i64 k = bounds[p]; k < bounds[p + 1]; k++) {
-            i64 wb_before = writebacks;
-            i64 h = do_access(lines[k], writes[k], tags, dirty, age, &clock,
-                              set_mask, assoc, &evictions, &writebacks,
-                              &dirtied);
-            flags[k] = (i8)h;
-            hits += h;
-            if (writebacks != wb_before)
-                wb_pos[total_wb++] = k;
+            flags[k] = (i8)do_access(lines[k], writes[k], (i64 *)tags_ptrs[p],
+                                     (i8 *)dirty_ptrs[p], (i64 *)age_ptrs[p],
+                                     &clock, set_mask, assoc, &evictions,
+                                     &writebacks, &dirtied);
+            hits += flags[k];
         }
         *clock_io = clock;
         stats4[4 * p + 0] = evictions;
@@ -201,12 +167,10 @@ i64 l2_flags_wb_multi(i64 n_parts, const i64 *bounds,
         stats4[4 * p + 2] = hits;
         stats4[4 * p + 3] = dirtied;
     }
-    return total_wb;
 }
 
 /* Fully-associative LRU TLB over page-change events.  entries/age are
- * capacity-sized arrays (-1 = empty).  Returns the number of misses.
- * The _flags variant also writes a per-event 1/0 miss flag. */
+ * capacity-sized arrays (-1 = empty).  tlb_one returns 1 on a miss. */
 static inline i64 tlb_one(i64 page, i64 *entries, i64 *age,
                           i64 *clock, i64 capacity)
 {
@@ -242,18 +206,227 @@ i64 tlb_misses(i64 n, const i64 *pages,
     return misses;
 }
 
-i64 tlb_flags(i64 n, const i64 *pages,
-              i64 *entries, i64 *age, i64 *clock_io, i64 capacity,
-              i8 *miss_flags)
+/* Open addressing over power-of-two tables of -1-initialised slots. */
+static inline i64 mix(i64 a, i64 b)
 {
-    i64 clock = *clock_io, misses = 0;
-    for (i64 k = 0; k < n; k++) {
-        i64 m = tlb_one(pages[k], entries, age, &clock, capacity);
-        miss_flags[k] = (i8)m;
-        misses += m;
+    u64 x = (u64)a * 0x9E3779B97F4A7C15ull + (u64)b * 0xC2B2AE3D27D4EB4Full;
+    return (i64)(x ^ (x >> 31));
+}
+
+/* Inserts key; returns 1 if it was already present. */
+static inline i64 set_insert(i64 *table, i64 mask, i64 key)
+{
+    for (i64 h = mix(key, 0) & mask;; h = (h + 1) & mask) {
+        if (table[h] == key) return 1;
+        if (table[h] == -1) { table[h] = key; return 0; }
     }
-    *clock_io = clock;
-    return misses;
+}
+
+/* set_fill: seeds a key set with n non-negative keys. */
+void set_fill(i64 n, const i64 *keys, i64 *table, i64 mask)
+{
+    for (i64 k = 0; k < n; k++)
+        set_insert(table, mask, keys[k]);
+}
+
+/* first_touch: one pass over the (keys[i], pages[i]) pairs in order.
+ * Each distinct pair gets an id in order of first appearance:
+ * inverse[i] is the id of pair i and first[id] the index where it
+ * first appears.  table (power of two, >= 2n slots, all -1) maps a
+ * hash slot to an id.  Returns the number of distinct pairs. */
+i64 first_touch(i64 n, const i64 *keys, const i64 *pages,
+                i64 *table, i64 mask, i64 *inverse, i64 *first)
+{
+    i64 n_uniq = 0, last_key = -1, last_page = -1, last_id = -1;
+    for (i64 i = 0; i < n; i++) {
+        i64 key = keys[i], page = pages[i];
+        if (page == last_page && key == last_key) {
+            inverse[i] = last_id;
+            continue;
+        }
+        i64 h = mix(page, key) & mask, id;
+        for (;; h = (h + 1) & mask) {
+            id = table[h];
+            if (id == -1) {
+                id = n_uniq++;
+                table[h] = id;
+                first[id] = i;
+                break;
+            }
+            if (pages[first[id]] == page && keys[first[id]] == key) break;
+        }
+        inverse[i] = last_id = id;
+        last_key = key;
+        last_page = page;
+    }
+    return n_uniq;
+}
+
+static inline void add_stats(i64 *cache_out, i64 c, i64 hits, i64 misses,
+                             i64 evictions, i64 writebacks, i64 dirtied)
+{
+    cache_out[5 * c + 0] += hits;
+    cache_out[5 * c + 1] += misses;
+    cache_out[5 * c + 2] += evictions;
+    cache_out[5 * c + 3] += writebacks;
+    cache_out[5 * c + 4] += dirtied;
+}
+
+/* replay_events: the scalar oracle's per-event rule over segments
+ * [state[0], n_seg) of an epoch.  Segment s covers events
+ * [seg_ev[s], seg_ev[s+1]) and replays through the private L1 and TLB
+ * of core seg_info[2s] under context group seg_info[2s+1].  Per event:
+ * the TLB on a page change (the current page resets at each segment
+ * start), the core's L1, on an L1 miss the home slice's L2, then the
+ * cost and replica first-touch rule.
+ *
+ * geom = {l1 set mask, l1 assoc, l2 set mask, l2 assoc, tlb entries,
+ * n_tiles, n_mc}.  Cache slot c has its {tags, dirty, age, clock}
+ * addresses at cache_tab[4c..4c+3]: slot `core` is a core's L1, slot
+ * n_tiles + tile an L2 slice (0 while the slice does not exist yet).
+ * tlb_tab[3 core..] = {entries, age, clock} of a core's TLB.
+ * group_tab[3g..] = {cluster-average core distance per tile (double*),
+ * controller distance per (tile, controller) (double*), replica table
+ * or -1}; rep_tab[2r..] = {key set (i64*), mask}.  lat = {2 * hop,
+ * L2 hit latency, DRAM + controller latency, TLB walk}.
+ *
+ * Outputs accumulate: seg_out[6s..] = {tlb misses, l1 misses, l1
+ * writebacks, l2 hits, l2 misses, l2 writebacks}, mem_out[s] in cycles,
+ * mc_out[n_mc s + mc] requests, cache_out[5 slot..] = {hits, misses,
+ * evictions, writebacks, dirtied} where slot 2 n_tiles + core holds a
+ * TLB's lookups.  new_lines[2k..] = {replica table, line} for each line
+ * newly replicated; state[4] counts them.
+ *
+ * Returns -1 when done.  At the first L1 miss whose home slice does not
+ * exist it returns that tile with state = {segment, event, 1, current
+ * page, n_new}; the caller creates the slice, fills its cache_tab slot
+ * and calls again to resume at that event's L2 step. */
+
+i64 replay_events(i64 n_seg, const i64 *seg_ev, const i64 *seg_info,
+                  const i64 *vpages, const i8 *writes, const i64 *plines,
+                  const i32 *homes, const i32 *mcs,
+                  const i64 *cache_tab, const i64 *tlb_tab, const i64 *geom,
+                  const i64 *group_tab, const i64 *rep_tab,
+                  const double *lat, i64 *state,
+                  i64 *seg_out, double *mem_out, i64 *mc_out,
+                  i64 *cache_out, i64 *new_lines)
+{
+    const i64 l1_mask = geom[0], l1_assoc = geom[1];
+    const i64 l2_mask = geom[2], l2_assoc = geom[3];
+    const i64 tlb_cap = geom[4], n_tiles = geom[5], n_mc = geom[6];
+    const double hop2 = lat[0], l2_lat = lat[1], dram_lat = lat[2];
+    const double walk = lat[3], replica_cost = hop2 + l2_lat;
+    i64 s = state[0], e = state[1], at_l2 = state[2], cur_page = state[3];
+    i64 n_new = state[4];
+
+    for (; s < n_seg; s++) {
+        const i64 e_end = seg_ev[s + 1];
+        if (e < e_end) {
+            const i64 core = seg_info[2 * s], g = seg_info[2 * s + 1];
+            const i64 *l1 = cache_tab + 4 * core;
+            i64 *l1_tags = (i64 *)l1[0], *l1_age = (i64 *)l1[2];
+            i8 *l1_dirty = (i8 *)l1[1];
+            i64 *l1_clock_io = (i64 *)l1[3], l1_clock = *l1_clock_io;
+            const i64 *tlb = tlb_tab + 3 * core;
+            i64 *tlb_entries = (i64 *)tlb[0], *tlb_age = (i64 *)tlb[1];
+            i64 *tlb_clock_io = (i64 *)tlb[2], tlb_clock = *tlb_clock_io;
+            const double *d_core = (const double *)group_tab[3 * g];
+            const double *d_mc = (const double *)group_tab[3 * g + 1];
+            const i64 rep = group_tab[3 * g + 2];
+            i64 *rep_keys = rep >= 0 ? (i64 *)rep_tab[2 * rep] : 0;
+            const i64 rep_mask = rep >= 0 ? rep_tab[2 * rep + 1] : 0;
+            i64 tlb_look = 0, tlb_miss = 0, l1_hit = 0, l1_miss = 0;
+            i64 l1_ev = 0, l1_wb = 0, l1_dirtied = 0;
+            i64 l2_hit = 0, l2_miss = 0, l2_wb = 0, missing = -1;
+            double mem = 0.0;
+
+            for (; e < e_end; e++) {
+                const i64 line = plines[e];
+                const i8 w = writes[e];
+                if (at_l2) {
+                    at_l2 = 0;
+                } else {
+                    if (vpages[e] != cur_page) {
+                        cur_page = vpages[e];
+                        tlb_look++;
+                        if (tlb_one(cur_page, tlb_entries, tlb_age,
+                                    &tlb_clock, tlb_cap)) {
+                            tlb_miss++;
+                            mem += walk;
+                        }
+                    }
+                    if (do_access(line, w, l1_tags, l1_dirty, l1_age,
+                                  &l1_clock, l1_mask, l1_assoc,
+                                  &l1_ev, &l1_wb, &l1_dirtied)) {
+                        l1_hit++;
+                        continue;
+                    }
+                    l1_miss++;
+                }
+                const i64 home = homes[e];
+                const i64 *l2 = cache_tab + 4 * (n_tiles + home);
+                if (!l2[0]) {
+                    missing = home;
+                    break;
+                }
+                i64 ev = 0, wb = 0, dirtied = 0;
+                const i64 hit = do_access(line, w, (i64 *)l2[0], (i8 *)l2[1],
+                                          (i64 *)l2[2], (i64 *)l2[3],
+                                          l2_mask, l2_assoc,
+                                          &ev, &wb, &dirtied);
+                add_stats(cache_out, n_tiles + home, hit, 1 - hit,
+                          ev, wb, dirtied);
+                l2_wb += wb;
+                const double request = hop2 * d_core[home] + l2_lat;
+                if (hit) {
+                    l2_hit++;
+                    if (!rep_keys) {
+                        mem += request;
+                    } else if (set_insert(rep_keys, rep_mask, line)) {
+                        mem += replica_cost;
+                    } else {
+                        new_lines[2 * n_new] = rep;
+                        new_lines[2 * n_new + 1] = line;
+                        n_new++;
+                        mem += request;
+                    }
+                } else {
+                    const i64 mc = mcs[e];
+                    l2_miss++;
+                    mem += request;
+                    mem += hop2 * d_mc[home * n_mc + mc] + dram_lat;
+                    mc_out[n_mc * s + mc]++;
+                }
+            }
+
+            seg_out[6 * s + 0] += tlb_miss;
+            seg_out[6 * s + 1] += l1_miss;
+            seg_out[6 * s + 2] += l1_wb;
+            seg_out[6 * s + 3] += l2_hit;
+            seg_out[6 * s + 4] += l2_miss;
+            seg_out[6 * s + 5] += l2_wb;
+            mem_out[s] += mem;
+            add_stats(cache_out, core, l1_hit, l1_miss,
+                      l1_ev, l1_wb, l1_dirtied);
+            add_stats(cache_out, 2 * n_tiles + core, tlb_look - tlb_miss,
+                      tlb_miss, 0, 0, 0);
+            *l1_clock_io = l1_clock;
+            *tlb_clock_io = tlb_clock;
+            if (missing >= 0) {
+                state[0] = s;
+                state[1] = e;
+                state[2] = 1;
+                state[3] = cur_page;
+                state[4] = n_new;
+                return missing;
+            }
+        }
+        e = seg_ev[s + 1];
+        cur_page = -1;
+    }
+    state[0] = n_seg;
+    state[4] = n_new;
+    return -1;
 }
 """
 
@@ -339,18 +512,21 @@ def _load() -> Optional[ctypes.CDLL]:
     i64 = ctypes.c_int64
     lib.l1_filter.restype = i64
     lib.l1_filter.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
-    lib.l1_filter_wb.restype = i64
-    lib.l1_filter_wb.argtypes = [
-        i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr
-    ]
-    lib.l2_flags_wb_multi.restype = i64
-    lib.l2_flags_wb_multi.argtypes = [
-        i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr
+    lib.l2_flags_multi.restype = None
+    lib.l2_flags_multi.argtypes = [
+        i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr
     ]
     lib.tlb_misses.restype = i64
     lib.tlb_misses.argtypes = [i64, ptr, ptr, ptr, ptr, i64]
-    lib.tlb_flags.restype = i64
-    lib.tlb_flags.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr]
+    lib.set_fill.restype = None
+    lib.set_fill.argtypes = [i64, ptr, ptr, i64]
+    lib.first_touch.restype = i64
+    lib.first_touch.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr]
+    lib.replay_events.restype = i64
+    lib.replay_events.argtypes = [
+        i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+        ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+    ]
     return lib
 
 
@@ -411,8 +587,8 @@ class NativeCache:
         self.dirty = np.zeros(self.n_sets * self.assoc, dtype=np.int8)
         self.age = np.zeros(self.n_sets * self.assoc, dtype=np.int64)
         self._clock = np.zeros(1, dtype=np.int64)
-        # {evictions, writebacks, n_wb, dirtied} as reported per batch.
-        self._stats_out = np.zeros(4, dtype=np.int64)
+        # {evictions, writebacks, dirtied} as reported per batch.
+        self._stats_out = np.zeros(3, dtype=np.int64)
         # Occupancy counters, maintained from the kernels' stats so the
         # purge models never scan the matrices.
         self._valid_count = 0
@@ -451,45 +627,25 @@ class NativeCache:
             *self._state_ptrs, self._set_mask, self.assoc,
             miss_pos.ctypes.data, self._stats_ptr,
         )
-        st = self.stats
-        st.hits += n - n_miss
-        st.misses += n_miss
-        self._fold_batch_stats(st, n_miss)
+        self._fold(n - n_miss, n_miss, *self._stats_out.tolist())
         return miss_pos[:n_miss]
 
-    def _fold_batch_stats(self, st: CacheStats, n_miss: int) -> None:
-        """Fold one kernel call's ``stats_out`` into stats + occupancy.
+    def _fold(
+        self, hits: int, misses: int, evictions: int, writebacks: int, dirtied: int
+    ) -> None:
+        """Fold one kernel call's stats deltas into stats + occupancy.
 
         Every miss fills one way and every eviction frees one, so the
-        valid delta is ``n_miss - evictions``; the dirty delta is
+        valid delta is ``misses - evictions``; the dirty delta is
         ``dirtied - writebacks`` (see the C source).
         """
-        evictions, writebacks, _, dirtied = self._stats_out.tolist()
+        st = self.stats
+        st.hits += hits
+        st.misses += misses
         st.evictions += evictions
         st.writebacks += writebacks
-        self._valid_count += n_miss - evictions
+        self._valid_count += misses - evictions
         self._dirty_count += dirtied - writebacks
-
-    def kernel_filter_misses_wb(
-        self, lines: np.ndarray, writes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`kernel_filter_misses`, also returning the positions
-        of events that caused a dirty-line writeback."""
-        n = len(lines)
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        writes = np.ascontiguousarray(writes, dtype=np.int8)
-        miss_pos = np.empty(n, dtype=np.int64)
-        wb_pos = np.empty(n, dtype=np.int64)
-        n_miss = self._lib.l1_filter_wb(
-            n, lines.ctypes.data, writes.ctypes.data,
-            *self._state_ptrs, self._set_mask, self.assoc,
-            miss_pos.ctypes.data, wb_pos.ctypes.data, self._stats_ptr,
-        )
-        st = self.stats
-        st.hits += n - n_miss
-        st.misses += n_miss
-        self._fold_batch_stats(st, n_miss)
-        return miss_pos[:n_miss], wb_pos[: int(self._stats_out[2])]
 
     # ------------------------------------------------------------------
     # SetAssocCache-compatible scalar API
@@ -498,10 +654,7 @@ class NativeCache:
         self._one_line[0] = line_id
         self._one_write[0] = 1 if is_write else 0
         n_miss = self._lib.l1_filter(1, *self._one_args)
-        st = self.stats
-        st.hits += 1 - n_miss
-        st.misses += n_miss
-        self._fold_batch_stats(st, n_miss)
+        self._fold(1 - n_miss, n_miss, *self._stats_out.tolist())
         return n_miss == 0
 
     def touch_many(self, line_ids, writes) -> int:
@@ -640,53 +793,136 @@ def multi_slice_flags_wb(
     bounds: "list[int]",
     lines_sorted: np.ndarray,
     writes_sorted: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One ``l2_flags_wb_multi`` kernel call over a home-sorted stream.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One ``l2_flags_multi`` kernel call over a home-sorted stream.
 
     ``caches[p]`` services stream positions ``[bounds[p], bounds[p+1])``
     (all caches must share one geometry).  Folds each part's stats and
-    occupancy deltas into its cache and returns
-    ``(hit_flags, wb_positions, stats4)``, the last being the raw
-    per-part ``{evictions, writebacks, hits, dirtied}`` counters for
-    callers that aggregate per-window numbers themselves.  This is the
-    single shared dispatch for the batch replayer's epochs and the
-    calibration planner's probe windows.
+    occupancy deltas into its cache and returns ``(hit_flags,
+    stats4)``, the latter being the raw per-part ``{evictions,
+    writebacks, hits, dirtied}`` counters for callers that aggregate
+    per-window numbers themselves.  The calibration planner replays its
+    probe windows through it.
     """
-    n = len(lines_sorted)
     n_parts = len(caches)
     first = caches[0]
-    ptrs = [c._state_ptrs for c in caches]
-    tags_ptrs = np.fromiter((p[0] for p in ptrs), dtype=np.int64, count=n_parts)
-    dirty_ptrs = np.fromiter((p[1] for p in ptrs), dtype=np.int64, count=n_parts)
-    age_ptrs = np.fromiter((p[2] for p in ptrs), dtype=np.int64, count=n_parts)
-    clock_ptrs = np.fromiter((p[3] for p in ptrs), dtype=np.int64, count=n_parts)
+    ptrs = np.asarray([c._state_ptrs for c in caches], dtype=np.int64).T.copy()
     bounds_arr = np.asarray(bounds, dtype=np.int64)
     lines_sorted = np.ascontiguousarray(lines_sorted, dtype=np.int64)
     writes_sorted = np.ascontiguousarray(writes_sorted, dtype=np.int8)
-    flags = np.empty(n, dtype=np.int8)
-    wb_pos = np.empty(n, dtype=np.int64)
+    flags = np.empty(len(lines_sorted), dtype=np.int8)
     stats4 = np.empty(4 * n_parts, dtype=np.int64)
-    n_wb = first._lib.l2_flags_wb_multi(
-        n_parts, bounds_arr.ctypes.data,
-        tags_ptrs.ctypes.data, dirty_ptrs.ctypes.data,
-        age_ptrs.ctypes.data, clock_ptrs.ctypes.data,
+    first._lib.l2_flags_multi(
+        n_parts, bounds_arr.ctypes.data, *(row.ctypes.data for row in ptrs),
         lines_sorted.ctypes.data, writes_sorted.ctypes.data,
-        first._set_mask, first.assoc,
-        flags.ctypes.data, wb_pos.ctypes.data, stats4.ctypes.data,
+        first._set_mask, first.assoc, flags.ctypes.data, stats4.ctypes.data,
     )
     for p, cache in enumerate(caches):
-        st = cache.stats
         hits = int(stats4[4 * p + 2])
         n_p = int(bounds_arr[p + 1] - bounds_arr[p])
-        evictions = int(stats4[4 * p])
-        writebacks = int(stats4[4 * p + 1])
-        st.hits += hits
-        st.misses += n_p - hits
-        st.evictions += evictions
-        st.writebacks += writebacks
-        cache._valid_count += (n_p - hits) - evictions
-        cache._dirty_count += int(stats4[4 * p + 3]) - writebacks
-    return flags, wb_pos[:n_wb], stats4
+        cache._fold(
+            hits, n_p - hits, int(stats4[4 * p + 0]), int(stats4[4 * p + 1]),
+            int(stats4[4 * p + 3]),
+        )
+    return flags, stats4
+
+
+def _key_table(n: int) -> np.ndarray:
+    """An empty open-addressing table (-1 slots) with room for ``n`` keys."""
+    return np.full(1 << max(4, (2 * n).bit_length()), -1, dtype=np.int64)
+
+
+def first_touch(keys: np.ndarray, pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(key, page)`` pairs in order of first appearance.
+
+    Returns ``(inverse, first)``: ``inverse[i]`` is the id of pair
+    ``i`` and ``first[id]`` the index where that pair first appears.
+    One O(n) pass; unlike ``np.unique`` it sorts nothing.
+    """
+    n = len(pages)
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    pages = np.ascontiguousarray(pages, dtype=np.int64)
+    table = _key_table(n)
+    inverse = np.empty(n, dtype=np.int64)
+    first = np.empty(n, dtype=np.int64)
+    n_uniq = load_native().first_touch(
+        n, keys.ctypes.data, pages.ctypes.data, table.ctypes.data,
+        len(table) - 1, inverse.ctypes.data, first.ctypes.data,
+    )
+    return inverse, first[:n_uniq]
+
+
+def replay_events(
+    seg_ev: np.ndarray,
+    seg_info: np.ndarray,
+    events: Tuple[np.ndarray, ...],
+    tables: Tuple[np.ndarray, ...],
+    group_tab: np.ndarray,
+    rep_sets: "list[set]",
+    make_l2: Callable[[int], object],
+) -> Tuple[np.ndarray, ...]:
+    """Replay segments through the fused ``replay_events`` kernel.
+
+    The arguments are those of the C kernel (see its comment), with
+    ``events`` = ``(vpages, writes, plines, homes, mcs)``, ``tables`` =
+    the hierarchy's ``(cache_tab, tlb_tab, geom, lat)`` and
+    ``rep_sets`` the replica sets that ``group_tab`` rows index; the
+    lines the call newly replicates are added to them.
+    ``make_l2(tile)`` creates a missing slice and fills its
+    ``cache_tab`` slot, then the kernel resumes.  Returns ``(seg_out,
+    mem_out, mc_out, cache_out)``, strided outputs as rows.
+    """
+    lib = load_native()
+    cache_tab, tlb_tab, geom, lat = tables
+    seg_ev, seg_info, vpages, writes, plines, homes, mcs = (
+        np.ascontiguousarray(a, dtype=t) for a, t in zip(
+            (seg_ev, seg_info, *events),
+            (np.int64, np.int64, np.int64, np.int8, np.int64, np.int32, np.int32),
+        )
+    )
+    n_seg = len(seg_ev) - 1
+    if len(seg_info) != 2 * n_seg or min(map(len, events)) < seg_ev[-1]:
+        raise ValueError("seg_info or the event arrays do not cover seg_ev")
+    n_events = int(seg_ev[-1] - seg_ev[0])
+    n_tiles, n_mc = int(geom[5]), int(geom[6])
+    # A key table only answers membership, so a set's iteration order
+    # cannot reach a result.
+    rep_keys = []
+    for replicated in rep_sets:
+        keys = np.fromiter(replicated, dtype=np.int64, count=len(replicated))
+        table = _key_table(len(keys) + n_events)
+        lib.set_fill(len(keys), keys.ctypes.data, table.ctypes.data, len(table) - 1)
+        rep_keys.append(table)
+    rep_tab = np.asarray(
+        [v for t in rep_keys for v in (t.ctypes.data, len(t) - 1)] or [0],
+        dtype=np.int64,
+    )
+    state = np.asarray([0, seg_ev[0], 0, -1, 0], dtype=np.int64)
+    seg_out = np.zeros(6 * n_seg, dtype=np.int64)
+    mem_out = np.zeros(n_seg, dtype=np.float64)
+    mc_out = np.zeros(n_seg * n_mc, dtype=np.int64)
+    cache_out = np.zeros(5 * (3 * n_tiles), dtype=np.int64)
+    new_lines = np.empty(2 * (n_events if rep_sets else 1), dtype=np.int64)
+    args = (
+        n_seg, seg_ev.ctypes.data, seg_info.ctypes.data,
+        vpages.ctypes.data, writes.ctypes.data, plines.ctypes.data,
+        homes.ctypes.data, mcs.ctypes.data,
+        cache_tab.ctypes.data, tlb_tab.ctypes.data, geom.ctypes.data,
+        group_tab.ctypes.data, rep_tab.ctypes.data, lat.ctypes.data,
+        state.ctypes.data, seg_out.ctypes.data, mem_out.ctypes.data,
+        mc_out.ctypes.data, cache_out.ctypes.data, new_lines.ctypes.data,
+    )
+    while (tile := lib.replay_events(*args)) >= 0:
+        make_l2(tile)
+        if not cache_tab[4 * (n_tiles + tile)]:
+            raise RuntimeError(f"make_l2({tile}) left its cache_tab slot empty")
+    new_lines = new_lines[: 2 * int(state[4])].reshape(-1, 2)
+    for r, replicated in enumerate(rep_sets):
+        replicated.update(new_lines[new_lines[:, 0] == r, 1].tolist())
+    return (
+        seg_out.reshape(-1, 6), mem_out, mc_out.reshape(-1, n_mc),
+        cache_out.reshape(-1, 5),
+    )
 
 
 class NativeTlb:
@@ -728,19 +964,6 @@ class NativeTlb:
         self.stats.hits += n - misses
         self.stats.misses += misses
         return misses
-
-    def access_batch_flags(self, vpages: np.ndarray) -> np.ndarray:
-        """Look up a batch of pages; returns a per-event 1/0 miss flag."""
-        vpages = np.ascontiguousarray(vpages, dtype=np.int64)
-        n = len(vpages)
-        flags = np.empty(n, dtype=np.int8)
-        misses = self._lib.tlb_flags(
-            n, vpages.ctypes.data, *self._ptrs, self.config.entries,
-            flags.ctypes.data,
-        )
-        self.stats.hits += n - misses
-        self.stats.misses += misses
-        return flags
 
     def access(self, vpage: int) -> bool:
         """Look up a virtual page; returns True on hit."""

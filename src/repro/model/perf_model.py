@@ -272,7 +272,7 @@ def calibrate_l2_curve_batched(
                         cfg.l2_slice, f"L2[{home}]"
                     )
                 caches.append(cache)
-            hit_sorted, _, stats4 = multi_slice_flags_wb(
+            hit_sorted, stats4 = multi_slice_flags_wb(
                 caches, bounds, lines[horder], writes[horder]
             )
             if si == 1:

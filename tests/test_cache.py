@@ -336,13 +336,9 @@ class TestCachedAddressParity:
                 lines, writes, hits = batch()
                 misses = nat.kernel_filter_misses(lines, writes).tolist()
                 assert misses == [k for k, h in enumerate(hits) if not h]
-            elif op == 1:
-                lines, writes, hits = batch()
-                misses, _ = nat.kernel_filter_misses_wb(lines, writes)
-                assert misses.tolist() == [k for k, h in enumerate(hits) if not h]
             elif op == 2:
                 lines, writes, hits = batch()
-                flags, _, _ = multi_slice_flags_wb([nat], [0, len(lines)], lines, writes)
+                flags, _ = multi_slice_flags_wb([nat], [0, len(lines)], lines, writes)
                 assert flags.astype(bool).tolist() == hits
             elif op == 3:
                 assert ref.invalidate_all() == nat.invalidate_all()
@@ -369,13 +365,99 @@ class TestCachedAddressParity:
             if op == 0:
                 misses = sum(not ref.access(p) for p in pages)
                 assert nat.access_batch(np.asarray(pages, dtype=np.int64)) == misses
-            elif op == 1:
-                flags = [int(not ref.access(p)) for p in pages]
-                got = nat.access_batch_flags(np.asarray(pages, dtype=np.int64))
-                assert got.tolist() == flags
             elif op == 2:
                 assert ref.invalidate_all() == nat.invalidate_all()
             elif op == 3:
                 assert ref.invalidate_page(pages[0]) == nat.invalidate_page(pages[0])
             assert ref.lru_entries() == nat.lru_entries()
             assert ref.stats == nat.stats
+
+
+@native
+class TestReplayEventsParity:
+    """``replay_events`` on one segment and one core vs single-event access.
+
+    One core's TLB and L1 and one L2 slice, replayed by the fused
+    kernel and by the reference ``Tlb``/``SetAssocCache`` event by
+    event: hit/miss, LRU victims, dirty flags and writebacks must
+    agree, and so must the per-segment counters and cycles.  The slice
+    starts absent, so the kernel's stop-and-resume path runs too.
+    """
+
+    WALK, L2_LAT, DRAM = 50.0, 11.0, 108.0
+
+    def test_one_segment_matches_reference(self):
+        from repro.arch.native import replay_events
+
+        l1_cfg, l2_cfg = CacheConfig(512, 2, 64), CacheConfig(2048, 4, 64)
+        tlb_cfg = TlbConfig(entries=4)
+        rnd = random.Random(31)
+        lines = [rnd.randrange(96) for _ in range(1500)]
+        writes = [int(rnd.random() < 0.35) for _ in lines]
+        pages = [line >> 3 for line in lines]
+
+        ref_tlb = Tlb(tlb_cfg, "t")
+        ref_l1, ref_l2 = SetAssocCache(l1_cfg, "l1"), SetAssocCache(l2_cfg, "l2")
+        want = dict(tlb=0, l1=0, l2_hits=0, l2_misses=0, mem=0.0)
+        cur = None
+        for line, w, page in zip(lines, writes, pages):
+            if page != cur:
+                cur = page
+                if not ref_tlb.access(page):
+                    want["tlb"] += 1
+                    want["mem"] += self.WALK
+            if ref_l1.access(line, w):
+                continue
+            want["l1"] += 1
+            if ref_l2.access(line, w):
+                want["l2_hits"] += 1
+                want["mem"] += self.L2_LAT
+            else:
+                want["l2_misses"] += 1
+                want["mem"] += self.L2_LAT + self.DRAM
+
+        tlb, l1 = NativeTlb(tlb_cfg, "t"), NativeCache(l1_cfg, "l1")
+        l2 = []
+        cache_tab = np.zeros(4 * 2, dtype=np.int64)
+        cache_tab[0:4] = l1._state_ptrs
+
+        def make_l2(tile):
+            assert tile == 0 and not l2
+            l2.append(NativeCache(l2_cfg, "l2"))
+            cache_tab[4:8] = l2[0]._state_ptrs
+
+        geom = np.asarray(
+            [l1_cfg.n_sets - 1, 2, l2_cfg.n_sets - 1, 4, tlb_cfg.entries, 1, 1],
+            dtype=np.int64,
+        )
+        lat = np.asarray([4.0, self.L2_LAT, self.DRAM, self.WALK])
+        zero = np.zeros(1)
+        seg_out, mem_out, mc_out, cache_out = replay_events(
+            np.asarray([0, len(lines)], dtype=np.int64),
+            np.zeros(2, dtype=np.int64),
+            (np.asarray(pages), np.asarray(writes), np.asarray(lines),
+             np.zeros(len(lines)), np.zeros(len(lines))),
+            (cache_tab, np.asarray(tlb._ptrs, dtype=np.int64), geom, lat),
+            np.asarray([zero.ctypes.data, zero.ctypes.data, -1], dtype=np.int64),
+            [],
+            make_l2,
+        )
+        l1._fold(*cache_out[0].tolist())
+        l2[0]._fold(*cache_out[1].tolist())
+        tlb.stats.hits += int(cache_out[2, 0])
+        tlb.stats.misses += int(cache_out[2, 1])
+
+        assert seg_out[0].tolist() == [
+            want["tlb"], want["l1"], ref_l1.stats.writebacks,
+            want["l2_hits"], want["l2_misses"], ref_l2.stats.writebacks,
+        ]
+        assert ref_l1.stats.writebacks > 0 and ref_l2.stats.evictions > 0
+        assert mem_out.tolist() == [want["mem"]]
+        assert mc_out.tolist() == [[want["l2_misses"]]]
+        for ref, nat in ((ref_l1, l1), (ref_l2, l2[0])):
+            assert ref.stats == nat.stats
+            assert (ref.valid_lines, ref.dirty_lines) == (nat.valid_lines, nat.dirty_lines)
+            for s in range(ref.n_sets):
+                assert ref._sets[s] == nat.set_entries(s)
+        assert ref_tlb.stats == tlb.stats
+        assert ref_tlb.lru_entries() == tlb.lru_entries()

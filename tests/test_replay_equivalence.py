@@ -435,6 +435,139 @@ class TestSmallTraceThreshold:
         assert np.array_equal(hs.home_table, hv.home_table)
 
 
+class TestFusedKernelPaths:
+    """The fused kernel's stop-and-resume and lazy-creation paths.
+
+    One ``BatchReplayer`` schedule against the per-call scalar oracle.
+    The schedule starts on a fresh hierarchy, so every L2 slice is
+    created at an L1 miss inside an epoch (the kernel returns there and
+    resumes); one core only has empty segments; two context groups
+    share one replica set; and a ``purge_private`` sits between the
+    two epochs.
+    """
+
+    def _contexts(self, hier):
+        shared = VirtualMemory("p", hier.address_space, [0, 1])
+        replicated = set()
+        common = dict(
+            cores=[0, 1, 2], slices=list(range(16)), controllers=[0, 1],
+            homing="hash", replication=True, _replicated=replicated,
+        )
+        return [
+            ProcessContext("a", "secure", shared, rep_core=0, **common),
+            ProcessContext("b", "secure", shared, rep_core=1, **common),
+            ProcessContext(
+                "idle", "secure", VirtualMemory("q", hier.address_space, [2]),
+                cores=[5], slices=[5], controllers=[2],
+            ),
+            ProcessContext(
+                "c", "secure", VirtualMemory("r", hier.address_space, [3]),
+                cores=[8, 9], slices=[20, 21, 22], controllers=[3],
+            ),
+        ]
+
+    def test_resume_and_lazy_creation_match_oracle(self, rng):
+        if not native_available():
+            pytest.skip("compiled kernels unavailable")
+        from repro.arch.batch_replay import BatchReplayer, Segment
+
+        config = SystemConfig.evaluation()
+        hs = MemoryHierarchy(config.with_engine("scalar"))
+        hv = MemoryHierarchy(config.with_engine("vector"))
+        cs, cv = self._contexts(hs), self._contexts(hv)
+        plan = []
+        for who in (0, 0, 1, 2, 3, 3, 0, 1, 2, 1, 3, 0):
+            n = 0 if who == 2 else int(rng.integers(50, 600))
+            addrs, writes = random_trace(rng, n, span=1 << 16)
+            if n and plan and len(plan[-1][1]):
+                # Continue on the previous segment's line: the per-call
+                # TLB page and run compression restart at each segment.
+                addrs[0] = plan[-1][1][-1]
+            plan.append((who, addrs, writes))
+        cut = 6
+
+        created = []
+        make_l2 = hv.l2_slice
+
+        def spy(tile):
+            if tile not in hv._l2:
+                created.append(tile)
+            return make_l2(tile)
+
+        hv.l2_slice = spy
+        replayer = BatchReplayer(
+            hv, [Segment(cv[who], a, w) for who, a, w in plan]
+        )
+        per, bat = [], []
+        for a, b in ((0, cut), (cut, len(plan))):
+            per += [hs.run_trace(cs[who], addrs, w) for who, addrs, w in plan[a:b]]
+            bat += replayer.run_epoch(a, b)
+            if a == 0:
+                assert hs.purge_private([0, 1, 2]) == hv.purge_private([0, 1, 2])
+        assert per == bat
+        assert len(created) >= 3
+
+        assert set(hs._l1) == set(hv._l1) == {0, 1, 8}
+        assert set(hs._tlb) == set(hv._tlb) == {0, 1, 8}
+        assert set(hs._l2) == set(hv._l2)
+        for ref, got in [(hs._l1, hv._l1), (hs._l2, hv._l2)]:
+            for key in ref:
+                assert ref[key].stats == got[key].stats, key
+                for s in range(ref[key].n_sets):
+                    assert set_entries(ref[key], s) == set_entries(got[key], s)
+        for core in hs._tlb:
+            assert hs._tlb[core].stats == hv._tlb[core].stats
+            assert tlb_entries(hs._tlb[core]) == tlb_entries(hv._tlb[core])
+        assert cs[0]._replicated == cv[0]._replicated
+        assert cv[0]._replicated and cv[0]._replicated is cv[1]._replicated
+
+
+class TestExactAccumulation:
+    """Cycle sums are exact in any order, so the kernel may fold per event.
+
+    Every latency term is a multiple of 1/64 cycle: the cluster-average
+    distances are quantized to 1/64 hop and the controller distances
+    are whole hops.  A float64 sum of such terms is exact while it
+    stays below 2^53 / 64, whatever the summation order.
+    """
+
+    def test_fig6_mix_terms_and_sums_are_dyadic(self, monkeypatch):
+        if not native_available():
+            pytest.skip("compiled kernels unavailable")
+        import repro.arch.hierarchy as hierarchy
+        from repro.experiments.fig6 import run_fig6
+        from repro.experiments.golden import quick_settings
+        from repro.experiments.runner import clear_result_cache
+
+        tables, sums = [], []
+        avg = MemoryHierarchy._avg_core_distances
+        replay = hierarchy.replay_events
+
+        def avg_spy(self, cores):
+            tables.append((self.mesh.mc_distances, avg(self, cores)))
+            return tables[-1][1]
+
+        def replay_spy(*args, **kwargs):
+            out = replay(*args, **kwargs)
+            sums.append(out[1].copy())
+            return out
+
+        monkeypatch.setattr(MemoryHierarchy, "_avg_core_distances", avg_spy)
+        monkeypatch.setattr(hierarchy, "replay_events", replay_spy)
+        clear_result_cache()
+        try:
+            run_fig6(quick_settings("vector"), verbose=False)
+        finally:
+            clear_result_cache()
+        assert tables and sums
+        for mc_distances, d_core in tables:
+            assert np.all(np.asarray(d_core) * 64 % 1 == 0)
+            assert np.all(mc_distances * 64 % 1 == 0)
+        mem = np.concatenate(sums)
+        assert np.all(mem * 64 % 1 == 0)
+        assert mem.max() < 2.0 ** 53 / 64
+
+
 class TestCalibrationEquivalence:
     """Batched probe-curve planning vs the per-probe scalar oracle.
 

@@ -377,6 +377,45 @@ class TestKernelAbi:
         messages = " ".join(f.message for f in layout)
         assert "allocates 2 slots" in messages
 
+    def test_strided_output_mismatch_detected(self):
+        """Per-segment/per-cache output strides: C writes vs Python uses."""
+        doctored = snippet(
+            """
+            import numpy as np
+
+            _C_SOURCE = \"\"\"
+            typedef long long i64;
+            i64 replay_events(i64 n, i64 *seg_out, i64 *cache_out, i64 *lost) {
+                for (i64 s = 0; s < n; s++) {
+                    seg_out[6 * s + 0] += 1;
+                    seg_out[6 * s + 5] += 2;
+                    cache_out[5 * s + 4] += 3;
+                    lost[2 * s + 1] = 4;
+                }
+                return 0;
+            }
+            \"\"\"
+
+
+            def run(n):
+                seg_out = np.zeros(5 * n, dtype=np.int64)
+                cache_out = np.zeros(5 * n, dtype=np.int64)
+                first = cache_out[6 * 0 + 1]
+                return seg_out.reshape(-1, 7), cache_out[4::5], first
+            """
+        )
+        tree = ast.parse(doctored)
+        findings = abi.compare_stats_layout(
+            constant_str_assign(tree, "_C_SOURCE"), tree
+        )
+        messages = [f.message for f in findings if f.rule == "abi.stats-layout"]
+        assert any("allocates seg_out with stride 5" in m for m in messages)
+        assert any("reshapes seg_out with stride 7" in m for m in messages)
+        assert any("reads cache_out with stride 6" in m for m in messages)
+        assert any("never allocates a buffer named lost" in m for m in messages)
+        # The consistent read cache_out[4::5] is not reported.
+        assert not any("cache_out with stride 5" in m for m in messages)
+
     def test_backend_parity_detects_renamed_param(self):
         ref = abi.class_signatures(
             ast.parse(
