@@ -148,14 +148,6 @@ class SetAssocCache:
         cset.insert(0, [tag, 1 if is_write else 0])
         return False
 
-    def touch_many(self, line_ids, writes) -> int:
-        """Access a sequence of lines; returns the number of misses."""
-        misses = 0
-        for line_id, w in zip(line_ids, writes):
-            if not self.access(int(line_id), bool(w)):
-                misses += 1
-        return misses
-
     def contains(self, line_id: int) -> bool:
         cset = self._sets[line_id & self._set_mask]
         return any(entry[0] == line_id for entry in cset)

@@ -614,22 +614,8 @@ class NativeCache:
         )
 
     # ------------------------------------------------------------------
-    # Batch kernels
+    # Kernel stats
     # ------------------------------------------------------------------
-    def kernel_filter_misses(self, lines: np.ndarray, writes: np.ndarray) -> np.ndarray:
-        """Access a batch; returns the positions (into the batch) that missed."""
-        n = len(lines)
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        writes = np.ascontiguousarray(writes, dtype=np.int8)
-        miss_pos = np.empty(n, dtype=np.int64)
-        n_miss = self._lib.l1_filter(
-            n, lines.ctypes.data, writes.ctypes.data,
-            *self._state_ptrs, self._set_mask, self.assoc,
-            miss_pos.ctypes.data, self._stats_ptr,
-        )
-        self._fold(n - n_miss, n_miss, *self._stats_out.tolist())
-        return miss_pos[:n_miss]
-
     def _fold(
         self, hits: int, misses: int, evictions: int, writebacks: int, dirtied: int
     ) -> None:
@@ -656,11 +642,6 @@ class NativeCache:
         n_miss = self._lib.l1_filter(1, *self._one_args)
         self._fold(1 - n_miss, n_miss, *self._stats_out.tolist())
         return n_miss == 0
-
-    def touch_many(self, line_ids, writes) -> int:
-        lines = np.asarray(list(line_ids), dtype=np.int64)
-        w = np.asarray(list(writes), dtype=np.int8)
-        return len(self.kernel_filter_misses(lines, w))
 
     def _row(self, set_index: int) -> slice:
         base = set_index * self.assoc
@@ -801,8 +782,8 @@ def multi_slice_flags_wb(
     occupancy deltas into its cache and returns ``(hit_flags,
     stats4)``, the latter being the raw per-part ``{evictions,
     writebacks, hits, dirtied}`` counters for callers that aggregate
-    per-window numbers themselves.  The calibration planner replays its
-    probe windows through it.
+    per-window numbers themselves.  No replay path calls it; it stays
+    because the perfbench tracer looks it up by name when it installs.
     """
     n_parts = len(caches)
     first = caches[0]
@@ -929,8 +910,8 @@ class NativeTlb:
     """Matrix-backed fully-associative LRU TLB (compiled kernel).
 
     Mirrors :class:`repro.arch.tlb.Tlb` — same hit/miss behaviour, same
-    stats — with entry/age arrays instead of an OrderedDict so the batch
-    replay path can classify a whole page-change stream in one call.
+    stats — with entry/age arrays instead of an OrderedDict so the fused
+    ``replay_events`` kernel can replay it in place.
     """
 
     def __init__(self, config, name: str = "ntlb"):
@@ -953,17 +934,6 @@ class NativeTlb:
         # Argument tail of the single-page access() call, built once.
         self._one_args = (self._one.ctypes.data, *self._ptrs, config.entries)
         self.stats = TlbStats()
-
-    def access_batch(self, vpages: np.ndarray) -> int:
-        """Look up a batch of pages; returns the number of misses."""
-        vpages = np.ascontiguousarray(vpages, dtype=np.int64)
-        n = len(vpages)
-        misses = self._lib.tlb_misses(
-            n, vpages.ctypes.data, *self._ptrs, self.config.entries
-        )
-        self.stats.hits += n - misses
-        self.stats.misses += misses
-        return misses
 
     def access(self, vpage: int) -> bool:
         """Look up a virtual page; returns True on hit."""

@@ -48,15 +48,10 @@ DEFAULT_MACHINES = ("insecure", "sgx", "mi6", "ironhide")
 def clear_result_cache() -> None:
     """Drop all in-memory memoized runs (tests and long-lived sessions).
 
-    Also drops the calibration planner's pooled scratch caches, so a
-    long-lived session really does return to a cold-memory state.
     Disk-persisted entries survive; delete the cache directory to drop
     those too.
     """
-    from repro.model.perf_model import clear_probe_pools
-
     store_mod.clear_memory_caches()
-    clear_probe_pools()
 
 
 def result_cache_size() -> int:

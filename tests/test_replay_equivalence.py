@@ -569,35 +569,50 @@ class TestExactAccumulation:
 
 
 class TestCalibrationEquivalence:
-    """Batched probe-curve planning vs the per-probe scalar oracle.
+    """Shared-hierarchy probe curves vs the per-probe scalar oracle.
 
-    The IRONHIDE calibration (``calibrate_l2_curve``) plans a whole
-    probe curve at once under the vector engine; every probe point's
+    The IRONHIDE calibration (``calibrate_l2_curve``) replays every
+    probe point of a curve through one reset scratch hierarchy and the
+    fused kernel under the vector engine; every probe point's
     :class:`TraceResult` must stay bit-identical to the per-probe
-    scratch-hierarchy oracle.
+    scratch-hierarchy oracle, empty windows included.
     """
 
     APPS = ("<AES, QUERY>", "<MEMCACHED, OS>", "<TC, GRAPH>")
     COUNTS = [1, 2, 3, 5, 8, 16, 24, 48, 62]
 
-    def _windows(self, app_name):
+    def _windows(self, app_name, empty=None):
+        """Each process's (warm, measure) windows; ``empty`` names one
+        window to replace with an empty trace."""
         from repro.machines.ironhide import _CALIBRATION_SEED
+        from repro.sim.trace import Trace
 
         app = get_app(app_name)
         for proc in app.processes():
             crng = np.random.default_rng(_CALIBRATION_SEED)
-            warm = proc.calibration_trace(crng, 2, start=0)
-            measure = proc.calibration_trace(crng, 2, start=2)
-            yield proc, warm, measure
+            windows = {
+                "warm": proc.calibration_trace(crng, 2, start=0),
+                "measure": proc.calibration_trace(crng, 2, start=2),
+            }
+            if empty is not None:
+                windows[empty] = Trace(np.empty(0, dtype=np.int64))
+            yield proc, windows["warm"], windows["measure"]
 
-    @pytest.mark.parametrize("app_name", APPS)
-    def test_batched_curve_matches_scalar_oracle(self, backend, app_name):
+    @pytest.mark.parametrize(
+        "app_name, empty",
+        [pytest.param(app, None, id=app) for app in APPS]
+        + [
+            pytest.param("<AES, QUERY>", "warm", id="<AES, QUERY>-empty warm"),
+            pytest.param("<AES, QUERY>", "measure", id="<AES, QUERY>-empty measure"),
+        ],
+    )
+    def test_batched_curve_matches_scalar_oracle(self, backend, app_name, empty):
         from repro.model.perf_model import (
             calibrate_l2_curve,
             calibrate_l2_curve_oracle,
         )
 
-        for proc, warm, measure in self._windows(app_name):
+        for proc, warm, measure in self._windows(app_name, empty):
             oracle = calibrate_l2_curve(
                 SystemConfig.evaluation().with_engine("scalar"),
                 warm, measure, self.COUNTS,
@@ -615,6 +630,21 @@ class TestCalibrationEquivalence:
                 warm, measure, self.COUNTS,
             )
             assert batched == per_probe, proc.name
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_probe_count_outside_mesh_raises(self, backend, engine, monkeypatch):
+        """Slice counts must name existing slices, checked before any replay."""
+        from repro.model import perf_model
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("replayed before validating the slice counts")
+
+        monkeypatch.setattr(perf_model, "MemoryHierarchy", no_replay)
+        config = SystemConfig.evaluation().with_engine(engine)
+        proc, warm, measure = next(self._windows("<MEMCACHED, OS>"))
+        for k in (0, config.n_cores + 1):
+            with pytest.raises(ValueError, match="probe slice count"):
+                perf_model.calibrate_l2_curve(config, warm, measure, [1, k])
 
     def test_probe_curve_store_round_trip(self, tmp_path):
         """Probe curves survive the result store bit-exactly."""
