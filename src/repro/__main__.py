@@ -96,21 +96,18 @@ GOLDEN_PATH = Path(__file__).resolve().parents[2] / "tests" / "golden" / "figure
 def chunk_arg(value: str):
     """Parse/validate ``--chunk`` at argparse time.
 
-    Returns ``"auto"``, ``None`` (for ``none``: one task per unit) or a
-    positive int — exactly the values
+    Returns ``"auto"`` or a positive int — exactly the values
     :func:`~repro.experiments.sweep.resolve_chunk` accepts — so a typo
     fails as a usage error instead of mid-experiment.
     """
     label = value.strip().lower()
     if label == "auto":
         return "auto"
-    if label == "none":
-        return None
     try:
         chunk = int(label)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected an integer, 'auto' or 'none', got {value!r}"
+            f"expected an integer or 'auto', got {value!r}"
         ) from None
     if chunk < 1:
         raise argparse.ArgumentTypeError(f"chunk size must be >= 1, got {chunk}")
@@ -210,8 +207,8 @@ def main(argv=None) -> int:
         "--chunk",
         type=chunk_arg,
         default="auto",
-        help="work units per pool task: an integer, 'auto' (sized from "
-             "the pending count; default) or 'none' (one task per unit)",
+        help="work units per pool task: an integer or 'auto' (sized "
+             "from the pending count; default)",
     )
     parser.add_argument(
         "--cache-dir",

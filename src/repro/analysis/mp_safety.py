@@ -15,9 +15,8 @@ with a pragma.  Three rules:
     ``popitem``/``clear``/``move_to_end``/...) to a module-level
     mutable container, anywhere in the model/experiment tree.  The
     message records whether the write is *provably* reachable from the
-    pool entry points (``_run_unit_worker``/``_run_chunk_worker`` and
-    every registered ``@unit_runner``) through the module-level call
-    graph; writes in class methods are reported as conservatively
+    pool entry point (``_run_chunk_worker`` and every registered
+    ``@unit_runner``) through the module-level call graph; writes in class methods are reported as conservatively
     reachable, because every machine/model method ultimately executes
     inside chunk workers.  One finding per (function, container) pair —
     the pragma goes on the first write site.  Module-level functions
@@ -184,7 +183,7 @@ def _all_defs(tree: ast.Module) -> List[Tuple[str, ast.AST, bool]]:
 def worker_reachable_functions(ctx: RepoContext) -> Set[Tuple[str, str]]:
     """(module rel, function name) pairs reachable from pool entry points.
 
-    Roots are ``_run_unit_worker``/``_run_chunk_worker`` plus every
+    Roots are ``_run_chunk_worker`` (the only pool task) plus every
     ``@unit_runner``-registered executor (the dynamic ``_RUNNERS``
     dispatch edge, resolved statically).  Edges follow direct calls to
     module-level functions — same module by name, imported modules by
@@ -194,9 +193,8 @@ def worker_reachable_functions(ctx: RepoContext) -> Set[Tuple[str, str]]:
     if sweep is None or sweep.tree is None:
         return set()
     roots: List[Tuple[str, str]] = []
-    for name in ("_run_unit_worker", "_run_chunk_worker"):
-        if name in module_level_functions(sweep.tree):
-            roots.append((_SWEEP_REL, name))
+    if "_run_chunk_worker" in module_level_functions(sweep.tree):
+        roots.append((_SWEEP_REL, "_run_chunk_worker"))
     for node in sweep.tree.body:
         if isinstance(node, ast.FunctionDef) and any(
             dotted_name(d.func if isinstance(d, ast.Call) else d)

@@ -152,10 +152,6 @@ class SetAssocCache:
         cset = self._sets[line_id & self._set_mask]
         return any(entry[0] == line_id for entry in cset)
 
-    def probe_latency_class(self, line_id: int) -> bool:
-        """Non-destructive lookup (used by attackers timing a probe)."""
-        return self.contains(line_id)
-
     @property
     def valid_lines(self) -> int:
         """Resident line count (incrementally tracked, O(1))."""

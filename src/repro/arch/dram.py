@@ -43,9 +43,6 @@ class DramSystem:
     def controller_of(self, region: int) -> int:
         return self.regions[region].controller
 
-    def regions_of_controller(self, mc: int) -> List[int]:
-        return [r.region_id for r in self.regions if r.controller == mc]
-
     def regions_for_controllers(self, mcs: Sequence[int]) -> List[int]:
         """All regions served by the given controller set."""
         mcset = set(mcs)

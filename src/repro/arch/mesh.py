@@ -59,12 +59,6 @@ class MeshTopology:
             raise ConfigError(f"coordinates ({row}, {col}) outside mesh")
         return row * self.cols + col
 
-    def row_of(self, core: int) -> int:
-        return core // self.cols
-
-    def col_of(self, core: int) -> int:
-        return core % self.cols
-
     def mc_anchor(self, mc: int) -> Tuple[int, int]:
         """Edge tile the controller's off-chip port attaches to."""
         return self._anchors[mc]

@@ -650,9 +650,6 @@ class NativeCache:
     def contains(self, line_id: int) -> bool:
         return bool((self.tags[self._row(line_id & self._set_mask)] == line_id).any())
 
-    def probe_latency_class(self, line_id: int) -> bool:
-        return self.contains(line_id)
-
     @property
     def valid_lines(self) -> int:
         """Resident line count (incrementally tracked, O(1))."""

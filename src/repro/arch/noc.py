@@ -114,7 +114,3 @@ class MeshNetwork:
         """Number of packets that crossed ``tile``'s router (excluding
         injections) — what a timing probe on that router observes."""
         return self._transits.get(tile, 0)
-
-    def link_utilization(self) -> Dict[Tuple[int, int], int]:
-        """busy_until per link, a proxy for traffic placement."""
-        return dict(self._busy)

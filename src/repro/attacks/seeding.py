@@ -7,31 +7,21 @@ and every run must be reproducible *and store-keyable*: the same
 scenarios must not share a stream.  :func:`attack_rng` derives one
 independent :class:`numpy.random.Generator` per ``(seed, *scope)``
 via :class:`numpy.random.SeedSequence`, with scope strings folded in
-through a stable content digest — no process-salted ``hash()``, no
+through a stable content digest (:func:`repro.faults.scope_word`,
+shared with the fault layer) — no process-salted ``hash()``, no
 wall-clock entropy, so the derivation itself is deterministic across
 interpreters and pool workers.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Union
 
 import numpy as np
 
+from repro.faults import scope_word
+
 ScopePart = Union[str, int, float]
-
-
-def _scope_word(part: ScopePart) -> int:
-    """One stable 64-bit word per scope component.
-
-    Strings are digested (``hash()`` is process-salted and would break
-    reproducibility across runs); ints and floats fold in via their
-    canonical ``repr``.
-    """
-    data = repr(part) if not isinstance(part, str) else part
-    digest = hashlib.sha256(data.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def attack_rng(seed: int, *scope: ScopePart) -> np.random.Generator:
@@ -44,6 +34,6 @@ def attack_rng(seed: int, *scope: ScopePart) -> np.random.Generator:
     """
     sequence = np.random.SeedSequence(
         entropy=int(seed) & ((1 << 64) - 1),
-        spawn_key=tuple(_scope_word(part) for part in scope),
+        spawn_key=tuple(scope_word(part) for part in scope),
     )
     return np.random.default_rng(sequence)

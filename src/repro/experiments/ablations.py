@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.config import SystemConfig
 from repro.experiments.reporting import geomean, print_table
 from repro.experiments.runner import ExperimentSettings
 from repro.experiments.sweep import WorkUnit, predicted_unit, run_unit, run_units
@@ -33,31 +32,17 @@ PURGE_APPS = ("<PR, GRAPH>", "<MEMCACHED, OS>")
 BINDING_APPS = ("<TC, GRAPH>", "<ALEXNET, VISION>", "<LIGHTTPD, OS>")
 
 
-def _settings_for(settings, config):
-    if isinstance(settings, SystemConfig):
-        # Legacy positional caller: ablate_homing(config) predates the
-        # settings-first signature.
-        return ExperimentSettings(config=settings)
-    if settings is not None:
-        return settings
-    if config is not None:
-        return ExperimentSettings(config=config)
-    return ExperimentSettings()
-
-
 def ablate_homing(
     settings: Optional[ExperimentSettings] = None,
     verbose: bool = True,
-    config: Optional[SystemConfig] = None,
-    jobs: Optional[int] = None,
 ) -> Dict[str, float]:
     """Average L2 round-trip NoC hops under each homing policy."""
-    settings = _settings_for(settings, config)
+    settings = settings or ExperimentSettings()
     units = {
         policy: WorkUnit("homing", app=HOMING_APP, variant=policy)
         for policy in ("local-cluster", "hash-global")
     }
-    payloads = run_units(units.values(), settings, jobs=jobs, copy_results=False)
+    payloads = run_units(units.values(), settings, copy_results=False)
     results = {policy: payloads[unit] for policy, unit in units.items()}
     if verbose:
         print_table(
@@ -73,7 +58,6 @@ def ablate_routing(
     cols: int = 8,
     verbose: bool = True,
     settings: Optional[ExperimentSettings] = None,
-    jobs: Optional[int] = None,
 ) -> Dict[str, int]:
     """Count cluster-escaping routes with and without Y-X support.
 
@@ -83,7 +67,7 @@ def ablate_routing(
     """
     settings = settings or ExperimentSettings()
     unit = WorkUnit("routing", params=(rows, cols))
-    results = run_units([unit], settings, jobs=jobs, copy_results=False)[unit]
+    results = run_units([unit], settings, copy_results=False)[unit]
     if verbose:
         print_table(
             "Ablation: deterministic routing containment (all split-row clusters)",
@@ -98,7 +82,6 @@ def ablate_binding(
     settings: Optional[ExperimentSettings] = None,
     apps: Optional[List[str]] = None,
     verbose: bool = True,
-    jobs: Optional[int] = None,
 ) -> Dict[str, float]:
     """Static 32/32 vs heuristic vs optimal cluster binding (geomean
     completion normalized to static)."""
@@ -113,7 +96,7 @@ def ablate_binding(
         # The heuristic is the machine default: share the default run.
         units[(name, "heuristic")] = run_unit(name, "ironhide")
         units[(name, "optimal")] = predicted_unit(name, "optimal", ("optimal",))
-    payloads = run_units(units.values(), settings, jobs=jobs, copy_results=False)
+    payloads = run_units(units.values(), settings, copy_results=False)
     ratios: Dict[str, List[float]] = {"static-32/32": [], "heuristic": [], "optimal": []}
     for name in names:
         static = payloads[units[(name, "static-32/32")]].completion_cycles
@@ -134,12 +117,11 @@ def ablate_binding(
 def ablate_purge_anatomy(
     settings: Optional[ExperimentSettings] = None,
     verbose: bool = True,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Purge component costs for a user app vs an OS app under MI6."""
     settings = settings or ExperimentSettings()
     units = {name: WorkUnit("purge_anatomy", app=name) for name in PURGE_APPS}
-    payloads = run_units(units.values(), settings, jobs=jobs, copy_results=False)
+    payloads = run_units(units.values(), settings, copy_results=False)
     out = {name: payloads[unit] for name, unit in units.items()}
     if verbose:
         for name, comps in out.items():
@@ -155,7 +137,6 @@ def ablate_purge_anatomy(
 def ablate_replication(
     settings: Optional[ExperimentSettings] = None,
     verbose: bool = True,
-    jobs: Optional[int] = None,
 ) -> Dict[str, float]:
     """Baseline completion with L2 replication on vs off (<AES, QUERY>)."""
     settings = settings or ExperimentSettings()
@@ -163,7 +144,7 @@ def ablate_replication(
         label: WorkUnit("replication", app=REPLICATION_APP, variant=label)
         for label in ("replication-on", "replication-off")
     }
-    payloads = run_units(units.values(), settings, jobs=jobs, copy_results=False)
+    payloads = run_units(units.values(), settings, copy_results=False)
     results = {label: payloads[unit] for label, unit in units.items()}
     if verbose:
         print_table(
@@ -178,14 +159,13 @@ def ablate_replication(
 def run_all_ablations(
     settings: Optional[ExperimentSettings] = None,
     verbose: bool = True,
-    jobs: Optional[int] = None,
 ):
     """Every ablation, in the order DESIGN.md discusses them."""
     settings = settings or ExperimentSettings()
     return (
-        ablate_homing(settings, verbose=verbose, jobs=jobs),
-        ablate_routing(verbose=verbose, settings=settings, jobs=jobs),
-        ablate_binding(settings, verbose=verbose, jobs=jobs),
-        ablate_purge_anatomy(settings, verbose=verbose, jobs=jobs),
-        ablate_replication(settings, verbose=verbose, jobs=jobs),
+        ablate_homing(settings, verbose=verbose),
+        ablate_routing(verbose=verbose, settings=settings),
+        ablate_binding(settings, verbose=verbose),
+        ablate_purge_anatomy(settings, verbose=verbose),
+        ablate_replication(settings, verbose=verbose),
     )

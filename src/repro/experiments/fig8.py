@@ -9,14 +9,14 @@ Optimal).  The Heuristic lands within the ±5% band of Optimal.
 
 The whole figure is expressed as one batch of work units — the MI6
 baselines plus every (variant, app) IRONHIDE run — so it shards over
-the process pool (``jobs=N``) and replays from a warm result store
+the process pool (``settings.jobs``) and replays from a warm result store
 without a single machine run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.reporting import geomean, print_table
 from repro.experiments.runner import ExperimentSettings
@@ -67,15 +67,17 @@ def run_fig8(
     settings: Optional[ExperimentSettings] = None,
     verbose: bool = True,
     percents=VARIATION_PERCENTS,
-    jobs: Optional[int] = None,
-    chunk: Union[int, str, None] = None,
 ) -> Fig8Data:
-    """Run the predictor-variant sweep; returns the MI6=100 series."""
+    """Run the predictor-variant sweep; returns the MI6=100 series.
+
+    The sweep runs as ``settings`` says (pool size, chunking, cache
+    reads), like every figure driver.
+    """
     settings = settings or ExperimentSettings()
     variant_units = _variant_units(percents)
     mi6_units = {app.name: run_unit(app.name, "mi6") for app in APPS}
     batch = list(mi6_units.values()) + [unit for _, unit in variant_units]
-    results = run_units(batch, settings, jobs=jobs, chunk=chunk, copy_results=False)
+    results = run_units(batch, settings, copy_results=False)
 
     order = ["heuristic", "optimal"] + [
         f"{s}{p}%" for p in percents for s in ("+", "-")

@@ -29,7 +29,7 @@ rides in the unit params, the seed and config hash in the key tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.attacks.environment import ISOLATION_MODELS
 from repro.attacks.scenarios import ATTACK_KINDS
@@ -126,16 +126,14 @@ def run_figattack(
     settings: Optional[ExperimentSettings] = None,
     scales: Tuple[float, ...] = SCALES,
     verbose: bool = True,
-    jobs: Optional[int] = None,
-    chunk: Union[int, str, None] = None,
     machines: Optional[Tuple[str, ...]] = None,
 ) -> FigAttackData:
     """Run the full attack grid and collect every scenario payload.
 
     One work unit per (kind, machine, scale) point — ``machines``
     restricts the model axis (default: every registered machine); the
-    batch shards over the (chunked) process pool and replays from a
-    warm result store without mounting a single attack.
+    batch shards over the process pool ``settings`` configures and
+    replays from a warm result store without mounting a single attack.
     """
     settings = settings or ExperimentSettings()
     models = tuple(machines or MACHINES)
@@ -145,9 +143,7 @@ def run_figattack(
         for machine in models
         for scale in scales
     }
-    payloads = run_units(
-        units.values(), settings, jobs=jobs, chunk=chunk, copy_results=False
-    )
+    payloads = run_units(units.values(), settings, copy_results=False)
 
     results: Dict[str, Dict[str, List[Dict]]] = {
         kind: {

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.reporting import print_table
 from repro.experiments.runner import ExperimentSettings
@@ -171,8 +171,6 @@ def run_figpop(
     sizes: Tuple[int, ...] = SIZES,
     skews: Tuple[float, ...] = SKEWS,
     verbose: bool = True,
-    jobs: Optional[int] = None,
-    chunk: Union[int, str, None] = None,
     machines: Optional[Tuple[str, ...]] = None,
 ) -> FigPopData:
     """Sweep population size x skew x machine; report tail percentiles.
@@ -181,8 +179,8 @@ def run_figpop(
     (smaller sizes are prefixes), collapses it onto distinct
     ``(app, scale, interactions)`` tuples, and runs each tuple once per
     machine (plus the insecure denominator) as a single batch of
-    ``run`` work units — so the sweep shards over the (chunked)
-    process pool and replays from a warm result store without a single
+    ``run`` work units — so the sweep shards over the process pool
+    ``settings`` configures and replays from a warm result store without a single
     machine run.  Per-user overheads are then read off the tuple
     results and reduced to nearest-rank p50/p95/p99 per (size, skew,
     machine).  ``machines`` restricts the curve set (default: every
@@ -201,9 +199,7 @@ def run_figpop(
                 units.setdefault(
                     (tup, machine), run_unit(app, machine, scale, interactions)
                 )
-    payloads = run_units(
-        units.values(), settings, jobs=jobs, chunk=chunk, copy_results=False
-    )
+    payloads = run_units(units.values(), settings, copy_results=False)
 
     def completion(tup, machine) -> float:
         return float(payloads[units[(tup, machine)]].completion_cycles)

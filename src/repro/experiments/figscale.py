@@ -32,7 +32,7 @@ replay work linear in the scale grid rather than quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.reporting import geomean, print_table
 from repro.experiments.runner import ExperimentSettings
@@ -121,8 +121,6 @@ def run_figscale(
     settings: Optional[ExperimentSettings] = None,
     scales: Tuple[float, ...] = SCALES,
     verbose: bool = True,
-    jobs: Optional[int] = None,
-    chunk: Union[int, str, None] = None,
     machines: Optional[Tuple[str, ...]] = None,
 ) -> FigScaleData:
     """Sweep ``trace_scale`` over ``scales`` for the whole app mix.
@@ -131,8 +129,8 @@ def run_figscale(
     every machine at user / OS / all level.  ``machines`` restricts the
     curve set (default: every registered machine); the insecure
     baseline is always run as the denominator.  The entire sweep is one
-    batch of work units, so it shards over the (chunked) process pool
-    and replays from a warm result store without a machine run.
+    batch of work units, so it shards over the process pool ``settings``
+    configures and replays from a warm result store without a machine run.
     """
     settings = figscale_settings(settings or ExperimentSettings())
     curves = tuple(m for m in (machines or MACHINES) if m != "insecure")
@@ -142,9 +140,7 @@ def run_figscale(
         for app in APPS
         for machine in ("insecure",) + curves
     }
-    payloads = run_units(
-        units.values(), settings, jobs=jobs, chunk=chunk, copy_results=False
-    )
+    payloads = run_units(units.values(), settings, copy_results=False)
 
     normalized: Dict[str, Dict[str, List[float]]] = {
         level: {m: [] for m in curves}

@@ -12,10 +12,11 @@ Three scaling features sit on top of the per-pair :func:`run_one`:
   ``settings.no_cache`` bypasses reads (forcing recomputation) but
   still writes completed runs back.
 
-* **Parallel execution.**  ``jobs=N`` fans the (app, machine) pairs out
-  over a process pool; ``chunk`` batches whole groups of pairs per pool
-  task so fork/pickle cost is amortized on wide matrices (``"auto"``
-  sizes chunks from the pending count — see
+* **Parallel execution.**  ``settings.jobs = N`` fans the (app,
+  machine) pairs out over a process pool in chunks of
+  ``settings.chunk`` pairs per pool task, so fork/pickle cost is
+  amortized on wide matrices (``"auto"``, the default, sizes chunks
+  from the pending count — see
   :func:`~repro.experiments.sweep.resolve_chunk`).  Workers ship back
   their predictor-calibration caches, which are merged into the
   caller's settings so subsequent serial runs stay warm.
@@ -54,11 +55,6 @@ def clear_result_cache() -> None:
     store_mod.clear_memory_caches()
 
 
-def result_cache_size() -> int:
-    """Entries in the default (memory-only) store."""
-    return len(store_mod.get_store(None))
-
-
 @dataclass
 class ExperimentSettings:
     """Knobs shared by all experiment drivers.
@@ -75,10 +71,10 @@ class ExperimentSettings:
     n_os: Optional[int] = None
     seed: int = 0
     calibration_cache: Dict = field(default_factory=dict)
-    # Default worker count for run_matrix / run_units (None/1 = serial).
+    # Worker count for every sweep (None/1 = serial).
     jobs: Optional[int] = None
-    # Units per pool task: an int, "auto", or None (one task per unit).
-    chunk: Union[int, str, None] = None
+    # Units per pool task: an int, or "auto" (sized per pool round).
+    chunk: Union[int, str] = "auto"
     # Disk persistence for the result store (None = memory only).
     cache_dir: Optional[str] = None
     # Bypass store reads (still writes completed runs back).
@@ -137,17 +133,6 @@ class ExperimentSettings:
             sweep_health=self.sweep_health,
         )
 
-    def cache_key(self, app: AppSpec, machine_name: str) -> Tuple:
-        """Memoization key for one (app, machine) run under these knobs.
-
-        Matches the key :func:`~repro.experiments.sweep.unit_cache_key`
-        derives for the equivalent default ``run`` work unit, so direct
-        callers and the sweep scheduler share stored results.
-        """
-        from repro.experiments.sweep import run_unit, unit_cache_key
-
-        return unit_cache_key(run_unit(app.name, machine_name), self)
-
 
 def run_one(
     app: AppSpec, machine_name: str, settings: ExperimentSettings, **machine_kwargs
@@ -177,22 +162,18 @@ def run_matrix(
     apps: Optional[Iterable[AppSpec]] = None,
     machines: Iterable[str] = DEFAULT_MACHINES,
     settings: Optional[ExperimentSettings] = None,
-    jobs: Optional[int] = None,
-    cache: bool = True,
     copy: bool = True,
-    chunk: Union[int, str, None] = None,
 ) -> Dict[Tuple[str, str], RunResult]:
     """Run every (app, machine) pair; returns results keyed by names.
 
-    ``jobs`` > 1 distributes the pairs over a process pool; ``chunk``
-    batches pairs per pool task (an int, ``"auto"``, or ``None`` for
-    ``settings.chunk`` / per-unit tasks).  ``cache=False`` (like
-    ``settings.no_cache``) bypasses store *reads*, forcing
-    recomputation; completed runs are still written back so later
-    cached callers benefit.  ``copy=False`` skips the defensive deep
-    copy of store hits — for read-only callers like the figure
-    drivers, which immediately reduce the results without mutating
-    them.
+    The sweep runs as ``settings`` says: ``settings.jobs`` > 1
+    distributes the pairs over a process pool in chunks of
+    ``settings.chunk``; ``settings.no_cache`` bypasses store *reads*,
+    forcing recomputation, while completed runs are still written back
+    so later cached callers benefit.  ``copy=False`` skips the
+    defensive deep copy of store hits — for read-only callers like the
+    figure drivers, which immediately reduce the results without
+    mutating them.
     """
     from repro.experiments.sweep import run_unit, run_units
 
@@ -204,7 +185,5 @@ def run_matrix(
         for app in apps
         for machine_name in machines
     ]
-    payloads = run_units(
-        units, settings, jobs=jobs, cache=cache, copy_results=copy, chunk=chunk
-    )
+    payloads = run_units(units, settings, copy_results=copy)
     return {(unit.app, unit.machine): payloads[unit] for unit in units}

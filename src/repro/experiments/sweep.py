@@ -7,26 +7,30 @@ measurement).  :func:`run_units` drives a batch of units through the
 persistent :mod:`~repro.experiments.store`:
 
 * units whose key is already stored are returned without running;
-* the rest execute serially or fan out over a ``ProcessPoolExecutor``
-  (``jobs=N``), in either case producing identical results (units are
-  independent and results are keyed by unit, not by completion order);
+* the rest execute serially or, with ``settings.jobs`` > 1, fan out
+  over a ``ProcessPoolExecutor`` in chunks of units, in either case
+  producing identical results (units are independent and results are
+  keyed by unit, not by completion order);
 * fresh results are written back to the store — even under
   ``no_cache``, which only bypasses *reads* — so a warm cache directory
   lets a second invocation of any figure complete without a single
   machine run.
 
-**Chunked pool tasks.**  By default the pool receives one task per
-unit, which pays one fork + settings pickle per unit — fine for coarse
-units, wasteful for wide matrices.  ``chunk`` batches whole groups of
-units per pool task (:func:`resolve_chunk` sizes ``"auto"`` chunks from
-the pending count and worker count); each chunk worker executes its
-units in order and, when a cache directory is configured, writes every
-result straight through the shared store directory (atomic
-write-then-rename, so concurrent writers keep the store valid) and
-re-checks the directory before executing a unit, skipping work a
-sibling process already persisted.  Chunked, per-unit-pooled and serial
-execution are bit-identical: results are keyed by unit, never by
-completion order or worker identity.
+Every sweep input — ``jobs``, ``chunk``, ``no_cache``, ``config`` —
+comes from the :class:`~repro.experiments.runner.ExperimentSettings`
+the caller passes; no driver takes a per-call override.
+
+**Chunked pool tasks.**  Each pool task is one chunk of units:
+``settings.chunk`` is an integer size or ``"auto"``
+(:func:`resolve_chunk` sizes ``"auto"`` chunks from the pending count
+and worker count), amortizing the fork + settings pickle over the
+chunk.  Each chunk worker executes its units in order and, when a cache
+directory is configured, writes every result straight through the
+shared store directory (atomic write-then-rename, so concurrent writers
+keep the store valid) and re-checks the directory before executing a
+unit, skipping work a sibling process already persisted.  Pooled and
+serial execution are bit-identical: results are keyed by unit, never
+by completion order or worker identity.
 
 New unit kinds register an executor with :func:`unit_runner`; executors
 are plain module-level functions so units stay picklable for the pool.
@@ -192,27 +196,13 @@ def _maybe_crash_worker(unit: WorkUnit) -> None:
         os._exit(3)
 
 
-def _run_unit_worker(args: Tuple[WorkUnit, object]):
-    """Pool entry point: execute one unit, ship the result home.
-
-    Returns the worker's predictor-calibration cache alongside the
-    payload so the parent can keep later serial runs warm.
-    """
-    unit, settings = args
-    # Arm (or explicitly disarm) fault injection for this process: pool
-    # workers fork from the parent and must not inherit its consult
-    # counters, or injection decisions would depend on pool scheduling.
-    faults_mod.install(getattr(settings, "faults", None))
-    _maybe_crash_worker(unit)
-    payload = execute_unit(unit, settings)
-    return unit, payload, settings.calibration_cache
-
-
 def _run_chunk_worker(args: Tuple[Tuple[WorkUnit, ...], object]):
     """Pool entry point for one *chunk* of units.
 
-    Executes its units in order, amortizing the fork + settings pickle
-    over the whole chunk.  With a cache directory configured the worker
+    The only pool task shape.  Executes its units in order, amortizing
+    the fork + settings pickle over the whole chunk; returns the
+    worker's predictor-calibration cache so the parent can keep later
+    serial runs warm.  With a cache directory configured the worker
     runs write-through: every fresh result is published to the shared
     store directory immediately (atomic rename — concurrent writers
     leave exactly one valid file, last writer wins), and each unit is
@@ -228,8 +218,9 @@ def _run_chunk_worker(args: Tuple[Tuple[WorkUnit, ...], object]):
     dropped (store degraded mid-run) so the parent can re-persist them.
     """
     chunk_units, settings = args
-    # Arm (or explicitly disarm) fault injection for this process (see
-    # _run_unit_worker).
+    # Arm (or explicitly disarm) fault injection for this process: pool
+    # workers fork from the parent and must not inherit its consult
+    # counters, or injection decisions would depend on pool scheduling.
     faults_mod.install(getattr(settings, "faults", None))
     _maybe_crash_worker(chunk_units[0])
     # A private store instance (not the interned one): its counters
@@ -251,22 +242,17 @@ def _run_chunk_worker(args: Tuple[Tuple[WorkUnit, ...], object]):
     return pairs, settings.calibration_cache, store.stats.as_dict(), tuple(unpersisted)
 
 
-def resolve_chunk(chunk: Union[int, str, None], n_pending: int, jobs: int) -> Optional[int]:
-    """Concrete chunk size (or ``None`` for legacy per-unit tasks).
+def resolve_chunk(chunk: Union[int, str], n_pending: int, jobs: int) -> int:
+    """Concrete units-per-task size for one pool round.
 
     ``"auto"`` targets :data:`AUTO_CHUNKS_PER_WORKER` chunks per worker:
     ``ceil(n_pending / (jobs * AUTO_CHUNKS_PER_WORKER))`` units per
     task.  That amortizes fork/pickle cost across the chunk while
     keeping enough tasks in flight that one slow chunk cannot starve
-    the pool.  Integer values (or integer strings) are used as given;
-    ``None`` / ``"none"`` selects the per-unit path.
+    the pool.  Integer values (or integer strings) are used as given.
     """
-    if chunk is None:
-        return None
     if isinstance(chunk, str):
         label = chunk.strip().lower()
-        if label == "none":
-            return None
         if label == "auto":
             return max(1, math.ceil(n_pending / (jobs * AUTO_CHUNKS_PER_WORKER)))
         chunk = int(label)
@@ -287,19 +273,18 @@ def _emit_progress(settings, done, total, pending_count, retried, store) -> None
 
 
 def _run_pool_rounds(
-    pending, settings, worker_settings, store, jobs, chunk, policy,
+    pending, settings, worker_settings, store, policy,
     read, copy_results, health, failures, results, needs_parent_persist,
 ):
     """Drive pending units through pool rounds with retry + backoff.
 
-    Each round submits the still-missing units (as chunks or
-    singletons), classifies failures (worker death, unit exception,
-    stall timeout), rescues units a dying chunk already published
+    Each round submits the still-missing units as chunks, classifies
+    failures (worker death, unit exception, stall timeout), rescues units a dying chunk already published
     through the shared store (writer-wins), then re-queues survivors
     under the attempt budget.  Units that exhaust the budget are
     returned for the caller's in-process serial fallback.
     """
-    chunked = resolve_chunk(chunk, len(pending), jobs) is not None
+    jobs = settings.jobs
     remaining = list(pending)
     attempts = {unit: 0 for unit in pending}
     exhausted: List[WorkUnit] = []
@@ -323,14 +308,11 @@ def _run_pool_rounds(
                 remaining = [u for u in remaining if u not in rescued]
                 if not remaining:
                     break
-        if chunked:
-            size = resolve_chunk(chunk, len(remaining), jobs)
-            groups = [
-                tuple(remaining[i : i + size])
-                for i in range(0, len(remaining), size)
-            ]
-        else:
-            groups = [(unit,) for unit in remaining]
+        size = resolve_chunk(settings.chunk, len(remaining), jobs)
+        groups = [
+            tuple(remaining[i : i + size])
+            for i in range(0, len(remaining), size)
+        ]
         for unit in remaining:
             attempts[unit] += 1
             health.attempts += 1
@@ -341,10 +323,7 @@ def _run_pool_rounds(
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             futures = {}
             for group in groups:
-                if chunked:
-                    fut = pool.submit(_run_chunk_worker, (group, worker_settings))
-                else:
-                    fut = pool.submit(_run_unit_worker, (group[0], worker_settings))
+                fut = pool.submit(_run_chunk_worker, (group, worker_settings))
                 futures[fut] = group
             done, not_done = _futures_wait(futures, timeout=timeout)
             for fut in not_done:
@@ -379,21 +358,16 @@ def _run_pool_rounds(
                             f"{type(exc).__name__}: {exc}"
                         )
                     continue
-                if chunked:
-                    pairs, calib, stats, unpersisted = out
-                    settings.calibration_cache.update(calib)
-                    # A worker's per-unit re-check misses the same keys
-                    # the parent scan already counted as misses — merge
-                    # only the new information (writes, and disk hits
-                    # from the sibling-skip fast path).
-                    stats.pop("misses", None)
-                    store.stats.merge(stats)
-                    needs_parent_persist.update(unpersisted)
-                    for unit, payload in pairs:
-                        results[unit] = payload
-                else:
-                    unit, payload, calib = out
-                    settings.calibration_cache.update(calib)
+                pairs, calib, stats, unpersisted = out
+                settings.calibration_cache.update(calib)
+                # A worker's per-unit re-check misses the same keys the
+                # parent scan already counted as misses — merge only the
+                # new information (writes, and disk hits from the
+                # sibling-skip fast path).
+                stats.pop("misses", None)
+                store.stats.merge(stats)
+                needs_parent_persist.update(unpersisted)
+                for unit, payload in pairs:
                     results[unit] = payload
         retry_units = [
             u for u in remaining
@@ -419,22 +393,18 @@ def _run_pool_rounds(
 def run_units(
     units: Iterable[WorkUnit],
     settings=None,
-    jobs: Optional[int] = None,
-    cache: bool = True,
     copy_results: bool = True,
-    chunk: Union[int, str, None] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> Dict[WorkUnit, object]:
     """Run every unit; returns payloads keyed by unit.
 
-    ``jobs`` > 1 shards pending units over a process pool (default:
-    ``settings.jobs``).  ``chunk`` batches units per pool task — an
-    integer size, ``"auto"`` (sized by :func:`resolve_chunk`), or
-    ``None`` (default: ``settings.chunk``, falling back to one task per
-    unit).  ``cache=False`` or ``settings.no_cache`` bypasses store
-    reads; completed units are always written back.
-    ``copy_results=False`` returns stored objects directly for
-    read-only callers (see :meth:`ResultStore.get`).
+    ``settings.jobs`` > 1 shards pending units over a process pool in
+    chunks of ``settings.chunk`` units (an integer or ``"auto"``, sized
+    by :func:`resolve_chunk`); otherwise they run serially in this
+    process.  ``settings.no_cache`` bypasses store reads; completed
+    units are always written back.  ``copy_results=False`` returns
+    stored objects directly for read-only callers (see
+    :meth:`ResultStore.get`).
 
     Pool task failures (worker death, unit exceptions, stall timeouts)
     are retried per ``retry`` (default :data:`DEFAULT_RETRY`) with
@@ -445,19 +415,13 @@ def run_units(
     failure ledger.  Recovery accounting merges into
     ``settings.sweep_health``.
 
-    Serial, per-unit pooled and chunked execution are bit-identical:
-    units are independent and results are keyed by unit, not by
-    completion order.
+    Serial and pooled execution are bit-identical: units are
+    independent and results are keyed by unit, not by completion order.
     """
     settings = settings or _runner.ExperimentSettings()
-    if jobs is None:
-        jobs = settings.jobs
-    if chunk is None:
-        chunk = getattr(settings, "chunk", None)
     policy = retry or DEFAULT_RETRY
     units = list(units)
     store = get_store(settings.cache_dir, max_bytes=settings.cache_max_bytes)
-    read = cache and not settings.no_cache
 
     # Arm this process with the sweep's fault plan (a no-op None for
     # production runs); restore whatever was armed before on the way
@@ -465,17 +429,13 @@ def run_units(
     previous_plan = faults_mod.active_plan()
     faults_mod.install(getattr(settings, "faults", None))
     try:
-        return _run_units_armed(
-            units, settings, jobs, cache, copy_results, chunk, policy,
-            store, read,
-        )
+        return _run_units_armed(units, settings, copy_results, policy, store)
     finally:
         faults_mod.install(previous_plan)
 
 
-def _run_units_armed(
-    units, settings, jobs, cache, copy_results, chunk, policy, store, read
-):
+def _run_units_armed(units, settings, copy_results, policy, store):
+    read = not settings.no_cache
     results: Dict[WorkUnit, object] = {}
     pending: List[WorkUnit] = []
     for unit in units:
@@ -492,20 +452,17 @@ def _run_units_armed(
     failures: Dict[WorkUnit, List[str]] = {}
     needs_parent_persist = set()
     exhausted: List[WorkUnit] = []
-    chunked = False
-    if pending and jobs and jobs > 1:
+    pooled = bool(pending) and (settings.jobs or 1) > 1
+    if pooled:
         # Ship pared-down settings: the calibration cache can hold
         # arbitrarily large state and every worker rebuilds what it
-        # needs anyway.  ``cache=False`` must force recomputation in
-        # the chunk workers too, so it rides along as ``no_cache``.
+        # needs anyway.
         worker_settings = replace(
-            settings, calibration_cache={}, jobs=None, chunk=None,
-            no_cache=settings.no_cache or not cache,
+            settings, calibration_cache={}, jobs=None,
             sweep_health=faults_mod.SweepHealth(),
         )
-        chunked = resolve_chunk(chunk, len(pending), jobs) is not None
         exhausted = _run_pool_rounds(
-            pending, settings, worker_settings, store, jobs, chunk, policy,
+            pending, settings, worker_settings, store, policy,
             read, copy_results, health, failures, results,
             needs_parent_persist,
         )
@@ -552,7 +509,7 @@ def _run_units_armed(
     # memoize their payloads here without duplicating the disk write.
     # Units a degraded worker store could not persist (and serial
     # fallbacks) are re-persisted from the parent.
-    persist_default = not (chunked and settings.cache_dir is not None)
+    persist_default = not (pooled and settings.cache_dir is not None)
     for unit in pending:
         store.put(
             unit_cache_key(unit, settings),

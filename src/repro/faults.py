@@ -73,9 +73,9 @@ def scope_word(part) -> int:
 
     Strings are digested directly; everything else folds in via its
     canonical ``repr`` (``hash()`` is process-salted and would break
-    cross-process reproducibility).  Mirrors
-    :func:`repro.attacks.seeding._scope_word`, duplicated here so the
-    fault layer never imports the attack harnesses.
+    cross-process reproducibility).  The attack harnesses'
+    :func:`~repro.attacks.seeding.attack_rng` derives its streams
+    through it too.
     """
     data = part if isinstance(part, str) else repr(part)
     digest = hashlib.sha256(data.encode("utf-8")).digest()

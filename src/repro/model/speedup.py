@@ -54,8 +54,5 @@ class ScalabilityProfile:
                 best_n, best_f = n, f
         return best_n, best_f
 
-    def preferred_threads(self, max_threads: int) -> int:
-        return self.best_factor(max_threads)[0]
-
     def speedup(self, n_threads: int) -> float:
         return 1.0 / self.time_factor(n_threads)

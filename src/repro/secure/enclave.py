@@ -77,7 +77,3 @@ class EnclaveManager:
         cost = self.config.costs.sgx_crossing_cycles
         self.crossing_cycles_total += cost
         return cost
-
-    @property
-    def total_crossings(self) -> int:
-        return sum(e.crossings for e in self._enclaves.values())

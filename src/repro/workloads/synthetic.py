@@ -10,11 +10,9 @@ and locality are explicit.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
-
-from repro.sim.trace import Trace
 
 
 def sequential(base: int, length_bytes: int, stride: int = 8, n: Optional[int] = None) -> np.ndarray:
@@ -127,20 +125,6 @@ def strided(base: int, n: int, stride: int, window_bytes: int) -> np.ndarray:
     return base + (np.arange(n, dtype=np.int64) * stride) % max(stride, window_bytes)
 
 
-def pointer_chase(
-    rng: np.random.Generator, base: int, ws_bytes: int, n: int, node_bytes: int = 64
-) -> np.ndarray:
-    """A dependent random walk over a working set (linked structures)."""
-    slots = max(2, ws_bytes // node_bytes)
-    perm = rng.permutation(slots)
-    steps = np.empty(n, dtype=np.int64)
-    pos = 0
-    # The permutation cycle gives a deterministic dependent chain.
-    idx = perm[np.arange(n) % slots]
-    steps[:] = idx
-    return base + steps * node_bytes
-
-
 def interleave(*streams: np.ndarray) -> np.ndarray:
     """Round-robin interleave several address streams."""
     streams = [s for s in streams if len(s)]
@@ -196,21 +180,6 @@ def write_mask(rng: np.random.Generator, n, write_fraction: float) -> np.ndarray
     return (rng.random(n) < write_fraction).astype(np.int8)
 
 
-def make_trace(
-    addrs: np.ndarray,
-    rng: Optional[np.random.Generator] = None,
-    write_fraction: float = 0.0,
-    writes: Optional[np.ndarray] = None,
-    instr_per_access: float = 4.0,
-) -> Trace:
-    """Bundle an address stream into a :class:`Trace`."""
-    if writes is None and write_fraction > 0.0:
-        if rng is None:
-            raise ValueError("write_fraction needs an rng")
-        writes = write_mask(rng, len(addrs), write_fraction)
-    return Trace(addrs, writes, instr_per_access)
-
-
 # Region layout helper ---------------------------------------------------
 
 MB = 1024 * 1024
@@ -239,7 +208,3 @@ class RegionLayout:
 
     def size(self, name: str) -> int:
         return self._regions[name][1]
-
-    @property
-    def total_bytes(self) -> int:
-        return self._next

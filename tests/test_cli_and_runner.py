@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
@@ -63,7 +65,7 @@ class TestCli:
 
     def test_rejects_bad_chunk_values(self):
         """A --chunk typo is a usage error, not a mid-run traceback."""
-        for bad in ("two", "0", "-1"):
+        for bad in ("two", "0", "-1", "none"):
             with pytest.raises(SystemExit):
                 main(["fig1", "--quick", "--chunk", bad])
 
@@ -162,7 +164,7 @@ class TestResultCache:
         assert len(calls) == 3
 
     def test_cache_disabled(self, monkeypatch):
-        settings = ExperimentSettings(n_user=2, n_os=4)
+        settings = ExperimentSettings(n_user=2, n_os=4, no_cache=True)
         apps = [get_app("<AES, QUERY>")]
         calls = []
         real_run_one = runner_mod.run_one
@@ -170,8 +172,8 @@ class TestResultCache:
             runner_mod, "run_one",
             lambda *a, **k: calls.append(a) or real_run_one(*a, **k),
         )
-        run_matrix(apps, ("insecure",), settings, cache=False)
-        run_matrix(apps, ("insecure",), settings, cache=False)
+        run_matrix(apps, ("insecure",), settings)
+        run_matrix(apps, ("insecure",), settings)
         assert len(calls) == 2
 
 
@@ -195,36 +197,33 @@ class TestPersistentSweeps:
                      "--jobs", "1"]) == 0
 
     def test_fig8_jobs_invariance(self):
-        """fig8 output is identical serial, per-unit pooled and chunked."""
+        """fig8 output is identical serial, pooled and chunk-2."""
         from repro.experiments.fig8 import run_fig8
 
         runs = {}
         for label, jobs, chunk in (
-            ("serial", 1, None),
-            ("pooled", 4, None),
-            ("chunked", 4, "auto"),
+            ("serial", 1, "auto"),
+            ("pooled", 4, "auto"),
             ("chunk-2", 4, 2),
         ):
-            settings = ExperimentSettings(n_user=2, n_os=4, no_cache=True)
-            runs[label] = run_fig8(
-                settings, verbose=False, percents=(5,), jobs=jobs, chunk=chunk
+            settings = ExperimentSettings(
+                n_user=2, n_os=4, no_cache=True, jobs=jobs, chunk=chunk
             )
-        assert runs["serial"] == runs["pooled"] == runs["chunked"] == runs["chunk-2"]
+            runs[label] = run_fig8(settings, verbose=False, percents=(5,))
+        assert runs["serial"] == runs["pooled"] == runs["chunk-2"]
 
     def test_figattack_jobs_invariance(self):
-        """figattack output is identical serial, pooled and chunked."""
+        """figattack output is identical serial, pooled and chunk-2."""
         from repro.experiments.figattack import run_figattack
 
         runs = {}
         for label, jobs, chunk in (
-            ("serial", 1, None),
-            ("pooled", 4, None),
+            ("serial", 1, "auto"),
+            ("pooled", 4, "auto"),
             ("chunk-2", 4, 2),
         ):
-            settings = ExperimentSettings(no_cache=True)
-            runs[label] = run_figattack(
-                settings, scales=(1.0, 2.0), verbose=False, jobs=jobs, chunk=chunk
-            )
+            settings = ExperimentSettings(no_cache=True, jobs=jobs, chunk=chunk)
+            runs[label] = run_figattack(settings, scales=(1.0, 2.0), verbose=False)
         assert runs["serial"] == runs["pooled"] == runs["chunk-2"]
 
     def test_figattack_store_identity(self, tmp_path):
@@ -236,13 +235,13 @@ class TestPersistentSweeps:
         from repro.experiments.figattack import run_figattack
 
         contents = {}
-        for label, jobs, chunk in (("serial", 1, None), ("chunked", 2, 2)):
+        for label, jobs in (("serial", 1), ("chunked", 2)):
             store_mod.reset_stores()
             cache_dir = tmp_path / label
-            settings = ExperimentSettings(cache_dir=str(cache_dir))
-            run_figattack(
-                settings, scales=(1.0,), verbose=False, jobs=jobs, chunk=chunk
+            settings = ExperimentSettings(
+                cache_dir=str(cache_dir), jobs=jobs, chunk=2
             )
+            run_figattack(settings, scales=(1.0,), verbose=False)
             contents[label] = {
                 p.name: p.read_bytes()
                 for p in sorted(cache_dir.rglob("*"))
@@ -251,19 +250,19 @@ class TestPersistentSweeps:
         assert contents["serial"] == contents["chunked"]
 
     def test_figpop_jobs_invariance(self):
-        """figpop output is identical serial, pooled and chunked."""
+        """figpop output is identical serial, pooled and chunk-2."""
         from repro.experiments.figpop import run_figpop
 
         runs = {}
         for label, jobs, chunk in (
-            ("serial", 1, None),
-            ("pooled", 4, None),
+            ("serial", 1, "auto"),
+            ("pooled", 4, "auto"),
             ("chunk-2", 4, 2),
         ):
-            settings = ExperimentSettings(no_cache=True)
+            settings = ExperimentSettings(no_cache=True, jobs=jobs, chunk=chunk)
             runs[label] = run_figpop(
                 settings, sizes=(8,), skews=(0.6,),
-                machines=("sgx", "mi6"), verbose=False, jobs=jobs, chunk=chunk,
+                machines=("sgx", "mi6"), verbose=False,
             )
         assert runs["serial"] == runs["pooled"] == runs["chunk-2"]
 
@@ -276,13 +275,15 @@ class TestPersistentSweeps:
         from repro.experiments.figpop import run_figpop
 
         contents = {}
-        for label, jobs, chunk in (("serial", 1, None), ("chunked", 2, 2)):
+        for label, jobs in (("serial", 1), ("chunked", 2)):
             store_mod.reset_stores()
             cache_dir = tmp_path / label
-            settings = ExperimentSettings(cache_dir=str(cache_dir))
+            settings = ExperimentSettings(
+                cache_dir=str(cache_dir), jobs=jobs, chunk=2
+            )
             run_figpop(
                 settings, sizes=(8,), skews=(0.6,),
-                machines=("sgx", "mi6"), verbose=False, jobs=jobs, chunk=chunk,
+                machines=("sgx", "mi6"), verbose=False,
             )
             contents[label] = {
                 p.name: p.read_bytes()
@@ -315,8 +316,8 @@ class TestPersistentSweeps:
 
         runs = {}
         for jobs in (1, 4):
-            settings = ExperimentSettings(n_user=2, n_os=4, no_cache=True)
-            runs[jobs] = run_all_ablations(settings, verbose=False, jobs=jobs)
+            settings = ExperimentSettings(n_user=2, n_os=4, no_cache=True, jobs=jobs)
+            runs[jobs] = run_all_ablations(settings, verbose=False)
         assert runs[1] == runs[4]
 
 
@@ -325,31 +326,23 @@ class TestParallelRunMatrix:
         runner_mod.clear_result_cache()
         apps = [get_app("<AES, QUERY>")]
         machines = ("insecure", "sgx")
-        serial = run_matrix(
-            apps, machines, ExperimentSettings(n_user=2, n_os=4), cache=False
-        )
-        parallel = run_matrix(
-            apps, machines, ExperimentSettings(n_user=2, n_os=4),
-            jobs=2, cache=False,
-        )
+        settings = ExperimentSettings(n_user=2, n_os=4, no_cache=True)
+        serial = run_matrix(apps, machines, settings)
+        parallel = run_matrix(apps, machines, replace(settings, jobs=2))
         assert serial == parallel
 
     def test_pool_merges_calibration_caches(self):
         runner_mod.clear_result_cache()
-        settings = ExperimentSettings(n_user=2, n_os=4)
-        run_matrix(
-            [get_app("<AES, QUERY>")], ("ironhide",), settings,
-            jobs=2, cache=False,
-        )
+        settings = ExperimentSettings(n_user=2, n_os=4, no_cache=True, jobs=2)
+        run_matrix([get_app("<AES, QUERY>")], ("ironhide",), settings)
         assert len(settings.calibration_cache) == 1
 
     def test_chunked_pool_merges_calibration_caches(self):
         runner_mod.clear_result_cache()
-        settings = ExperimentSettings(n_user=2, n_os=4)
-        run_matrix(
-            [get_app("<AES, QUERY>")], ("ironhide",), settings,
-            jobs=2, chunk=1, cache=False,
+        settings = ExperimentSettings(
+            n_user=2, n_os=4, no_cache=True, jobs=2, chunk=1
         )
+        run_matrix([get_app("<AES, QUERY>")], ("ironhide",), settings)
         assert len(settings.calibration_cache) == 1
 
 
@@ -368,8 +361,6 @@ class TestChunking:
     def test_resolve_chunk_values(self):
         from repro.experiments.sweep import resolve_chunk
 
-        assert resolve_chunk(None, 10, 4) is None
-        assert resolve_chunk("none", 10, 4) is None
         assert resolve_chunk(3, 10, 4) == 3
         assert resolve_chunk("3", 10, 4) == 3
         with pytest.raises(ValueError):
@@ -379,33 +370,47 @@ class TestChunking:
         runner_mod.clear_result_cache()
         apps = [get_app("<AES, QUERY>"), get_app("<MEMCACHED, OS>")]
         machines = ("insecure", "sgx")
-        serial = run_matrix(
-            apps, machines, ExperimentSettings(n_user=2, n_os=4), cache=False
-        )
+        settings = ExperimentSettings(n_user=2, n_os=4, no_cache=True)
+        serial = run_matrix(apps, machines, settings)
         chunked = run_matrix(
-            apps, machines, ExperimentSettings(n_user=2, n_os=4),
-            jobs=2, chunk="auto", cache=False,
+            apps, machines, replace(settings, jobs=2, chunk="auto")
         )
         assert serial == chunked
 
-    def test_settings_chunk_is_the_default(self, monkeypatch):
-        """run_units falls back to ``settings.chunk`` when the call
-        site does not pass one (the CLI wires --chunk through here)."""
+    def test_default_pool_dispatches_through_chunk_worker(self, monkeypatch):
+        """A pooled sweep under default settings submits chunk tasks:
+        ``_run_chunk_worker`` is the only pool entry point."""
+        from concurrent.futures import Future
+
         from repro.experiments import sweep as sweep_mod
         from repro.experiments.sweep import run_unit, run_units
 
-        seen = {}
-        real = sweep_mod.resolve_chunk
+        submitted = []
 
-        def spy(chunk, n, jobs):
-            seen["chunk"] = chunk
-            return real(chunk, n, jobs)
+        class InlinePool:
+            """Runs each task in-process so the spy sees every call."""
 
-        monkeypatch.setattr(sweep_mod, "resolve_chunk", spy)
-        settings = ExperimentSettings(n_user=2, n_os=4, chunk=2, no_cache=True)
-        run_units([run_unit("<AES, QUERY>", "insecure"),
-                   run_unit("<AES, QUERY>", "sgx")], settings, jobs=2)
-        assert seen["chunk"] == 2
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, args):
+                submitted.append(fn)
+                fut = Future()
+                fut.set_result(fn(args))
+                return fut
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlinePool)
+        settings = ExperimentSettings(n_user=2, n_os=4, no_cache=True, jobs=2)
+        units = [run_unit("<AES, QUERY>", "insecure"), run_unit("<AES, QUERY>", "sgx")]
+        results = run_units(units, settings)
+        assert set(results) == set(units)
+        assert submitted and all(fn is sweep_mod._run_chunk_worker for fn in submitted)
 
     def test_chunked_store_stats_not_double_counted(self, tmp_path):
         """A cold chunked sweep reports one miss and one write per
@@ -416,9 +421,11 @@ class TestChunking:
 
         store_mod.reset_stores()
         runner_mod.clear_result_cache()
-        settings = ExperimentSettings(n_user=2, n_os=4, cache_dir=str(tmp_path))
+        settings = ExperimentSettings(
+            n_user=2, n_os=4, cache_dir=str(tmp_path), jobs=2, chunk=1
+        )
         units = [run_unit("<AES, QUERY>", m) for m in ("insecure", "sgx")]
-        run_units(units, settings, jobs=2, chunk=1)
+        run_units(units, settings)
         stats = store_mod.get_store(str(tmp_path)).stats
         assert stats.misses == len(units)
         assert stats.writes == len(units)

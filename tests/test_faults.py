@@ -277,19 +277,19 @@ class TestStoreIntegrity:
 
 class TestSweepRecovery:
     def _baseline(self, units):
-        return run_units(units, fresh_settings(), jobs=1)
+        return run_units(units, fresh_settings())
 
     def test_injected_exceptions_retry_to_convergence(self, tmp_path):
         units = routing_units(4)
         expected = self._baseline(units)
         settings = fresh_settings(
-            tmp_path,
+            tmp_path, jobs=2, chunk=2,
             faults=FaultPlan.parse(
                 "unit_exception:1x2", token_dir=tmp_path / "tokens"
             ),
         )
         got = run_units(
-            units, settings, jobs=2, chunk=2,
+            units, settings,
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01),
         )
         assert got == expected
@@ -302,13 +302,13 @@ class TestSweepRecovery:
         units = routing_units(4)
         expected = self._baseline(units)
         settings = fresh_settings(
-            tmp_path,
+            tmp_path, jobs=2, chunk=2,
             faults=FaultPlan.parse(
                 "worker_crash:1x1", token_dir=tmp_path / "tokens"
             ),
         )
         got = run_units(
-            units, settings, jobs=2, chunk=2,
+            units, settings,
             retry=RetryPolicy(backoff_base_s=0.01),
         )
         assert got == expected
@@ -319,9 +319,9 @@ class TestSweepRecovery:
         # never consults worker_crash) still completes the sweep.
         units = routing_units(2)
         expected = self._baseline(units)
-        settings = fresh_settings(faults=FaultPlan.parse("worker_crash"))
+        settings = fresh_settings(jobs=2, faults=FaultPlan.parse("worker_crash"))
         got = run_units(
-            units, settings, jobs=2, chunk=None,
+            units, settings,
             retry=RetryPolicy(max_attempts=1, backoff_base_s=0.01),
         )
         assert got == expected
@@ -331,10 +331,10 @@ class TestSweepRecovery:
 
     def test_unrecoverable_units_raise_with_ledger(self):
         units = routing_units(2)
-        settings = fresh_settings(faults=FaultPlan.parse("unit_exception"))
+        settings = fresh_settings(jobs=2, faults=FaultPlan.parse("unit_exception"))
         with pytest.raises(SweepExecutionError) as excinfo:
             run_units(
-                units, settings, jobs=2, chunk=None,
+                units, settings,
                 retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01),
             )
         err = excinfo.value
@@ -351,9 +351,9 @@ class TestSweepRecovery:
         plan = FaultPlan.parse(
             "unit_stall:1x1", stall_s=1.5, token_dir=tmp_path / "tokens"
         )
-        settings = fresh_settings(tmp_path, faults=plan)
+        settings = fresh_settings(tmp_path, jobs=2, faults=plan)
         got = run_units(
-            units, settings, jobs=2, chunk=None,
+            units, settings,
             retry=RetryPolicy(unit_timeout_s=0.3, backoff_base_s=0.01),
         )
         assert got == expected
@@ -363,7 +363,7 @@ class TestSweepRecovery:
         faults_mod.install(None)
         settings = fresh_settings(faults=FaultPlan.parse("unit_exception:1x1"))
         with pytest.raises(InjectedFault):
-            run_units(routing_units(1), settings, jobs=1)
+            run_units(routing_units(1), settings)
         # run_units restored the pre-call (disarmed) plan on the way out.
         assert faults_mod.active_plan() is None
 
@@ -371,14 +371,14 @@ class TestSweepRecovery:
 class TestProgressHeartbeat:
     def test_progress_emits_to_stderr_only(self, capsys):
         settings = fresh_settings(progress=True)
-        run_units(routing_units(2), settings, jobs=1)
+        run_units(routing_units(2), settings)
         captured = capsys.readouterr()
         assert "[sweep]" in captured.err
         assert "units done" in captured.err
         assert captured.out == ""
 
     def test_progress_off_by_default(self, capsys):
-        run_units(routing_units(2), fresh_settings(), jobs=1)
+        run_units(routing_units(2), fresh_settings())
         assert "[sweep]" not in capsys.readouterr().err
 
 

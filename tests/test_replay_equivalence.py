@@ -830,23 +830,6 @@ class TestMachineEquivalence:
                 results[engine] = run_one(app, machine, settings)
             assert results["scalar"] == results["vector"], app.name
 
-    def test_batched_vs_forced_loop_same_engine(self, monkeypatch):
-        """REPRO_NO_BATCH pins the batched path against the
-        per-interaction loop on the *same* (vector) engine."""
-        results = {}
-        for key, env in (("batched", ""), ("loop", "1")):
-            if env:
-                monkeypatch.setenv("REPRO_NO_BATCH", env)
-            else:
-                monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-            settings = ExperimentSettings(
-                config=SystemConfig.evaluation().with_engine("vector"),
-                n_user=3,
-                n_os=6,
-            )
-            results[key] = run_one(get_app("<MEMCACHED, OS>"), "mi6", settings)
-        assert results["batched"] == results["loop"]
-
 
 class TestAttackEquivalence:
     """Attack scenario payloads are engine-invariant.

@@ -192,8 +192,8 @@ class TestChunkWorkerConcurrency:
         "from repro.experiments.sweep import WorkUnit, run_units\n"
         "units = [WorkUnit('routing', params=(r, c))\n"
         "         for r, c in ((2, 2), (2, 3), (3, 2), (3, 3))]\n"
-        "settings = ExperimentSettings(cache_dir={cache_dir!r})\n"
-        "run_units(units, settings, jobs=2, chunk=1)\n"
+        "settings = ExperimentSettings(cache_dir={cache_dir!r}, jobs=2, chunk=1)\n"
+        "run_units(units, settings)\n"
     )
 
     def _routing_units(self):

@@ -743,7 +743,7 @@ class TestMpSafety:
     def test_worker_reachability_from_real_sweep(self):
         ctx = RepoContext.scan(REPO)
         reachable = mp_safety.worker_reachable_functions(ctx)
-        assert ("src/repro/experiments/sweep.py", "_run_unit_worker") in reachable
+        assert ("src/repro/experiments/sweep.py", "_run_chunk_worker") in reachable
         # The chunk worker executes units, which land in get_store().
         assert ("src/repro/experiments/store.py", "get_store") in reachable
 

@@ -15,7 +15,8 @@ A ``docs`` phase keeps the prose honest: every repo path named in
 ``docs/architecture.md``, ``docs/experiments.md``, ``docs/scaling.md``,
 ``docs/static-analysis.md`` and ``docs/reliability.md`` must exist and
 every internal link in ``docs/*.md`` must resolve (see
-:func:`check_docs`).
+:func:`check_docs`), and every ``examples/*.py`` script must run to
+completion with its default arguments (see :func:`run_examples`).
 
 A ``scale`` smoke phase runs
 ``python -m repro figscale --quick --jobs 2 --chunk 2 --check-golden``:
@@ -167,13 +168,46 @@ def check_docs(repo: Path = REPO) -> "list[str]":
     return failures
 
 
+def _src_env(extra_env=None) -> dict:
+    """The caller's environment with ``src/`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    if extra_env:
+        env.update(extra_env)
+    return env
+
+
+def run_examples(repo: Path = REPO) -> "list[str]":
+    """Run every ``examples/*.py`` script; returns failure strings.
+
+    Each script runs with its default arguments; its output is shown
+    only when it exits non-zero, so the documented entry points can
+    never rot silently.
+    """
+    failures = []
+    for script in sorted((repo / "examples").glob("*.py")):
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=repo, env=_src_env(),
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stdout + proc.stderr)
+            failures.append(
+                f"examples/{script.name} exited with {proc.returncode}"
+            )
+    return failures
+
+
 def run_docs_phase() -> dict:
     start = time.perf_counter()
-    failures = check_docs()
+    failures = check_docs() + run_examples()
     for failure in failures:
         print(f"DOCS: {failure}", file=sys.stderr)
     if not failures:
-        print("docs OK: architecture map paths exist, internal links resolve")
+        print("docs OK: architecture map paths exist, internal links "
+              "resolve, examples run")
     return {
         "phase": "docs",
         "status": "ok" if not failures else f"FAIL ({len(failures)})",
@@ -183,14 +217,8 @@ def run_docs_phase() -> dict:
 
 
 def run_phase(name: str, argv, extra_env=None) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    if extra_env:
-        env.update(extra_env)
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable] + argv, cwd=REPO, env=env)
+    proc = subprocess.run([sys.executable] + argv, cwd=REPO, env=_src_env(extra_env))
     return {
         "phase": name,
         "status": "ok" if proc.returncode == 0 else f"FAIL ({proc.returncode})",

@@ -91,7 +91,7 @@ def rss_mb() -> float:
     return 0.0
 
 
-def fresh_settings(seed: int, cache_dir: Path, jobs=None, chunk=None, faults=None):
+def fresh_settings(seed: int, cache_dir: Path, jobs=None, chunk="auto", faults=None):
     """Quick-mode settings with cold caches (one CLI invocation's worth)."""
     from repro.experiments.runner import ExperimentSettings
 
