@@ -159,13 +159,10 @@ class Machine(abc.ABC):
                 bd, sec_stats, ins_stats,
             )
         else:
-            for k, i in enumerate(range(start, n)):
-                self._interaction(
-                    app, st, sec_proc, ins_proc,
-                    b_sec.segment(k), b_ins.segment(k),
-                    i >= 0, bd, sec_stats, ins_stats,
-                    index=k,
-                )
+            self._run_loop(
+                app, st, sec_proc, ins_proc, b_sec, b_ins, start, n,
+                bd, sec_stats, ins_stats,
+            )
         # One-time costs (attestation, the single reconfiguration event)
         # amortize over the application's full-scale run; the measured
         # window covers n of real_interactions of it.
@@ -250,6 +247,30 @@ class Machine(abc.ABC):
             bd.purge += fence + entry.purge + exit_.purge
             self._accumulate(ins_stats, res_ins, t_ins * ts)
             self._accumulate(sec_stats, res_sec, t_sec * ts)
+
+    def _run_loop(
+        self,
+        app: AppSpec,
+        st: Setup,
+        sec_proc: WorkloadProcess,
+        ins_proc: WorkloadProcess,
+        b_sec: TraceBundle,
+        b_ins: TraceBundle,
+        start: int,
+        n: int,
+        bd: Breakdown,
+        sec_stats: ProcessStats,
+        ins_stats: ProcessStats,
+    ) -> None:
+        """Replay the interactions one at a time (the scalar oracle's
+        path); takes the same arguments as :meth:`_run_batched`."""
+        for k, i in enumerate(range(start, n)):
+            self._interaction(
+                app, st, sec_proc, ins_proc,
+                b_sec.segment(k), b_ins.segment(k),
+                i >= 0, bd, sec_stats, ins_stats,
+                index=k,
+            )
 
     def _run_batched(
         self,

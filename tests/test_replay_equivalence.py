@@ -830,6 +830,32 @@ class TestMachineEquivalence:
                 results[engine] = run_one(app, machine, settings)
             assert results["scalar"] == results["vector"], app.name
 
+    def test_batched_vs_forced_loop_same_engine(self, monkeypatch):
+        """The batched pipeline against the per-interaction loop on the
+        *same* (vector) engine: the loop is forced by routing
+        ``_run_batched`` to ``_run_loop``."""
+        from repro.machines.base import Machine
+
+        settings = ExperimentSettings(
+            config=SystemConfig.evaluation().with_engine("vector"),
+            n_user=3,
+            n_os=6,
+        )
+        app = get_app("<MEMCACHED, OS>")
+        batched = run_one(app, "mi6", settings)
+
+        loop = []
+        run_loop = Machine._run_loop
+
+        def forced(self, *args):
+            loop.append(self.hier.engine)
+            return run_loop(self, *args)
+
+        monkeypatch.setattr(Machine, "_run_batched", forced)
+        assert run_one(app, "mi6", settings) == batched
+        expected = "vector" if native_available() else "scalar"
+        assert loop == [expected]
+
 
 class TestAttackEquivalence:
     """Attack scenario payloads are engine-invariant.
