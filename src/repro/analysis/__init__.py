@@ -3,7 +3,10 @@
 This package is the static counterpart to the dynamic gates (golden
 pins, equivalence suite, bench checks): it parses the tree once and
 verifies the invariants that make the reproduction trustworthy *before*
-anything executes.  Seven rule families ship today:
+anything executes.  A rule earns its place only where no tier-1 test
+fails on its seeded violation (``docs/static-analysis.md`` lists the
+retired rules and the tests that replaced them).  Seven rule families
+ship today:
 
 * ``determinism.*`` + ``hygiene.*`` — no wall clocks, no unseeded RNG,
   no set-iteration in replay paths (:mod:`repro.analysis.determinism`);
@@ -15,12 +18,10 @@ anything executes.  Seven rule families ship today:
   ``MODEL_VERSION`` audit (:mod:`repro.analysis.cache_keys`);
 * ``mp.*`` — chunk workers never depend on module-level mutable state
   that ``fork`` would silently fork (:mod:`repro.analysis.mp_safety`);
-* ``faults.*`` — every fault-injection consult names a registered
-  site and every registered site is consulted somewhere
-  (:mod:`repro.analysis.faults`);
-* ``machines.*`` — the ``MACHINES`` registry, the golden figure grids,
-  the model-audit manifest and the docs tables agree on which machine
-  models exist, both directions (:mod:`repro.analysis.machines`).
+* ``faults.*`` — every registered fault-injection site is consulted
+  somewhere (:mod:`repro.analysis.faults`);
+* ``machines.*`` — every machine in the ``MACHINES`` registry is
+  listed in the docs tables (:mod:`repro.analysis.machines`).
 
 Run it via ``python tools/check_static.py`` (or the ``static`` phase of
 ``tools/run_tiers.py``); suppress individual findings with

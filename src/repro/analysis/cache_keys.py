@@ -14,11 +14,6 @@ reproduction pipeline can have.  Four rules:
     cache-plumbing knobs that cannot change payloads).  Adding a field
     therefore forces a conscious choice: key it or allowlist it.
 
-``keys.config-hash-missing``
-    ``unit_cache_key`` must fold in ``settings.config.config_hash()``
-    — the digest of the frozen ``SystemConfig`` tree that keys the
-    whole machine description.
-
 ``keys.unit-field-unkeyed``
     Every ``WorkUnit`` dataclass field must be read by
     ``unit_cache_key`` (a unit field that is not in the key aliases
@@ -135,8 +130,8 @@ def _find_function(tree: ast.Module, name: str) -> Optional[ast.FunctionDef]:
 
 
 def check_settings_keyed(ctx: RepoContext) -> List[Finding]:
-    """``keys.settings-field-unkeyed`` / ``keys.config-hash-missing`` /
-    ``keys.unit-field-unkeyed`` over the real runner/sweep modules."""
+    """``keys.settings-field-unkeyed`` / ``keys.unit-field-unkeyed`` over
+    the real runner/sweep modules."""
     runner = ctx.file(_RUNNER_REL)
     sweep = ctx.file(_SWEEP_REL)
     if not (runner and runner.tree and sweep and sweep.tree):
@@ -167,15 +162,6 @@ def check_settings_keyed(ctx: RepoContext) -> List[Finding]:
             "unit_cache_key() nor declared in EXECUTION_ONLY_SETTINGS — "
             "a result-affecting value outside the store key serves stale "
             "results",
-        ))
-    if "config_hash" not in {
-        node.attr for node in ast.walk(key_fn)
-        if isinstance(node, ast.Attribute)
-    }:
-        findings.append(Finding(
-            "keys.config-hash-missing", _SWEEP_REL, key_fn.lineno,
-            "unit_cache_key() never calls config_hash(); the machine "
-            "description would not be keyed",
         ))
     unit_fields = dataclass_fields(sweep.tree, "WorkUnit")
     unit_reads = _attr_reads(key_fn, "unit")

@@ -31,7 +31,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 #: ``# repro: allow[rule, rule2]`` pragma comments.
 _PRAGMA = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_.\-, ]+)\]")
@@ -273,3 +273,31 @@ def constant_str_assign(tree: ast.Module, name: str) -> Optional[str]:
                 ):
                     return value.value
     return None
+
+
+def registry_names(
+    src: Optional[SourceFile], name: str
+) -> Tuple[Optional[int], Tuple[str, ...]]:
+    """``(line, names)`` of a module-level ``name = {...}`` or ``(...)``.
+
+    A dict registry names its string keys, a tuple registry its string
+    elements; ``(None, ())`` when ``src`` assigns no such literal.
+    """
+    if src is None or src.tree is None:
+        return None, ()
+    for node in src.tree.body:
+        if not isinstance(node, ast.Assign) or not any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            continue
+        if isinstance(node.value, ast.Dict):
+            elts = node.value.keys
+        elif isinstance(node.value, ast.Tuple):
+            elts = node.value.elts
+        else:
+            continue
+        return node.lineno, tuple(
+            e.value for e in elts
+            if isinstance(e, ast.Constant) and isinstance(e.value, str)
+        )
+    return None, ()

@@ -1,67 +1,38 @@
-"""faults.*: fault-injection sites stay registered, spelled and alive.
+"""faults.*: every registered fault-injection site is consulted.
 
-The chaos facility (:mod:`repro.faults`) is only trustworthy if the
-site names code consults are exactly the names the registry declares:
-a misspelled consult never fires (silently un-tested failure path), and
-a declared-but-never-consulted site documents coverage that does not
-exist.  ``should_inject`` raises on unknown names at runtime, but only
-when that code path actually executes under a plan — this rule catches
-both directions statically, over every scanned file:
+The chaos facility (:mod:`repro.faults`) is only trustworthy if each
+name in :data:`repro.faults.INJECTION_SITES` is consulted somewhere: a
+declared-but-never-consulted site documents coverage that does not
+exist, and a fault plan naming it silently injects nothing.  The other
+direction needs no rule: ``should_inject`` raises ``ValueError`` on an
+unregistered name even when no plan is armed, and renaming any consult
+to an unregistered site fails ``tests/test_faults.py``.
 
-* ``faults.unknown-site`` — a ``should_inject("name", ...)`` call whose
-  literal site is not in :data:`repro.faults.INJECTION_SITES`;
-* ``faults.site-not-literal`` — a consult whose site argument is not a
-  string literal (un-auditable: the registry sync cannot be checked);
-* ``faults.dead-site`` — a registered site no scanned file consults.
+* ``faults.dead-site`` — a registered site that no scanned file
+  consults through a ``should_inject("name", ...)`` call with a
+  literal site name.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Tuple
+from typing import List, Set
 
 from repro.analysis.core import (
     Finding,
     RepoContext,
     checker,
     dotted_name,
+    registry_names,
 )
 
 #: Repo-relative home of the injection-site registry.
 _FAULTS_REL = "src/repro/faults.py"
 
-#: Module-level tuple holding the registered site names.
-_REGISTRY_NAME = "INJECTION_SITES"
 
-
-def registered_sites(ctx: RepoContext) -> Tuple[Optional[int], Tuple[str, ...]]:
-    """``(registry line, site names)`` parsed from the faults module."""
-    src = ctx.file(_FAULTS_REL)
-    if src is None or src.tree is None:
-        return None, ()
-    for node in src.tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == _REGISTRY_NAME:
-                if isinstance(node.value, ast.Tuple):
-                    names = tuple(
-                        elt.value
-                        for elt in node.value.elts
-                        if isinstance(elt, ast.Constant)
-                        and isinstance(elt.value, str)
-                    )
-                    return node.lineno, names
-    return None, ()
-
-
-def _consults(tree: ast.Module) -> List[Tuple[int, Optional[str]]]:
-    """``(line, site-or-None)`` for every ``should_inject(...)`` call.
-
-    ``None`` marks a non-literal site argument (or a call with no
-    arguments at all) — flagged separately as un-auditable.
-    """
-    out: List[Tuple[int, Optional[str]]] = []
+def _consulted_sites(tree: ast.Module) -> Set[str]:
+    """Literal site names of every ``should_inject(...)`` call."""
+    sites: Set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -71,57 +42,32 @@ def _consults(tree: ast.Module) -> List[Tuple[int, Optional[str]]]:
         if node.args and isinstance(node.args[0], ast.Constant) and isinstance(
             node.args[0].value, str
         ):
-            out.append((node.lineno, node.args[0].value))
-        else:
-            out.append((node.lineno, None))
-    return out
+            sites.add(node.args[0].value)
+    return sites
 
 
 @checker
 def check_faults(ctx: RepoContext) -> List[Finding]:
-    """Cross-check every ``should_inject`` consult against the registry."""
-    findings: List[Finding] = []
-    registry_line, sites = registered_sites(ctx)
+    """Report every registered site that no ``should_inject`` consults."""
+    registry_line, sites = registry_names(
+        ctx.file(_FAULTS_REL), "INJECTION_SITES"
+    )
     if registry_line is None:
-        # No registry in this context (unit-test snippets): nothing to
-        # check consults against, and no dead sites to report.
-        return findings
+        # No registry in this context (unit-test snippets): no dead
+        # sites to report.
+        return []
     consulted: Set[str] = set()
     for src in ctx.files:
-        if src.tree is None:
-            continue
-        for line, site in _consults(src.tree):
-            if site is None:
-                findings.append(
-                    Finding(
-                        "faults.site-not-literal",
-                        src.rel,
-                        line,
-                        "should_inject() site must be a string literal so "
-                        "the registry sync is statically checkable",
-                    )
-                )
-                continue
-            consulted.add(site)
-            if site not in sites:
-                findings.append(
-                    Finding(
-                        "faults.unknown-site",
-                        src.rel,
-                        line,
-                        f"should_inject({site!r}) names an unregistered "
-                        f"injection site; registered: {list(sites)}",
-                    )
-                )
-    for site in sites:
-        if site not in consulted:
-            findings.append(
-                Finding(
-                    "faults.dead-site",
-                    _FAULTS_REL,
-                    registry_line,
-                    f"injection site {site!r} is registered but never "
-                    "consulted by any scanned file",
-                )
-            )
-    return findings
+        if src.tree is not None:
+            consulted |= _consulted_sites(src.tree)
+    return [
+        Finding(
+            "faults.dead-site",
+            _FAULTS_REL,
+            registry_line,
+            f"injection site {site!r} is registered but never "
+            "consulted by any scanned file",
+        )
+        for site in sites
+        if site not in consulted
+    ]

@@ -1,233 +1,64 @@
-"""machines.*: the MACHINES registry and its consumers stay in sync.
+"""machines.*: every registered machine is listed in the docs tables.
 
 ``repro.machines.MACHINES`` is the single source of truth for which
-machine models exist; the golden figure grids, the model-audit manifest
-and the docs tables all claim to cover "every registered machine".
-Those artifacts are data files, so no import error fires when they
-rot — a machine added to the registry without refreshed goldens (or a
-renamed machine leaving stale golden curves behind) only surfaces when
-a test happens to compare the right section.  This rule catches both
-directions statically:
+machine models exist.  The golden figure grids are built from it
+(figattack's ``ISOLATION_MODELS``, figscale's grid), so a registry
+edit without refreshed goldens fails ``tests/test_golden_figures.py``;
+a ``machines/`` module missing from the model-audit manifest is
+``keys.model-version-audit``'s finding.  No test reads the docs, so
+this rule keeps them in step:
 
-* ``machines.machine-not-covered`` — a registered machine is missing
-  from a golden ``figattack`` attack-channel grid, from a golden
-  ``figscale`` normalized group (the ``insecure`` normalization base is
-  exempt — it *is* the denominator), from the docs
-  (``docs/architecture.md`` / ``docs/experiments.md``), or a
-  ``src/repro/machines/*.py`` module is absent from the model-audit
-  digest manifest;
-* ``machines.unknown-machine`` — a golden machine curve or an audited
-  ``machines/`` digest names something the registry (respectively the
-  scanned tree) no longer contains.
+* ``machines.machine-not-covered`` — a registered machine that
+  ``docs/architecture.md`` or ``docs/experiments.md`` does not list as
+  an entry: ``**name**`` (a bullet) or the name in backticks (a table
+  cell).  A mention in prose does not count.
 
 The registry is read from the AST of ``src/repro/machines/__init__.py``
-(no import, so the rule also runs on broken trees); the goldens and
-docs are read from disk relative to the scanned root.
+(no import, so the rule also runs on broken trees); the docs are read
+from disk relative to the scanned root.
 """
 
 from __future__ import annotations
 
-import ast
-import json
 from typing import List, Optional, Tuple
 
-from repro.analysis.core import Finding, RepoContext, checker
+from repro.analysis.core import Finding, RepoContext, checker, registry_names
 
 #: Repo-relative home of the machine registry.
 _REGISTRY_REL = "src/repro/machines/__init__.py"
 
-#: Module-level dict holding the registered machines.
-_REGISTRY_NAME = "MACHINES"
-
-#: Artifacts cross-checked against the registry (repo-relative).
-_GOLDEN_REL = "tests/golden/figures_quick.json"
-_AUDIT_REL = "tests/golden/model_audit.json"
+#: Docs whose machine tables must list every registered machine.
 _DOC_RELS = ("docs/architecture.md", "docs/experiments.md")
-
-#: The normalization base: absent from figscale's normalized curves by
-#: construction (every curve is a ratio against it).
-_NORMALIZATION_BASE = "insecure"
 
 
 def registered_machines(ctx: RepoContext) -> Tuple[Optional[int], Tuple[str, ...]]:
     """``(registry line, machine names)`` parsed from the machines package."""
-    src = ctx.file(_REGISTRY_REL)
-    if src is None or src.tree is None:
-        return None, ()
-    for node in src.tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == _REGISTRY_NAME:
-                if isinstance(node.value, ast.Dict):
-                    names = tuple(
-                        key.value
-                        for key in node.value.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    )
-                    return node.lineno, names
-    return None, ()
-
-
-def _load_json(ctx: RepoContext, rel: str):
-    """Parse a repo-relative JSON artifact, or None when absent/invalid."""
-    path = ctx.root / rel
-    if not path.is_file():
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return None
-
-
-def _check_goldens(
-    ctx: RepoContext, line: int, machines: Tuple[str, ...]
-) -> List[Finding]:
-    """Registry vs the pinned quick-figure grids, both directions."""
-    findings: List[Finding] = []
-    golden = _load_json(ctx, _GOLDEN_REL)
-    if not isinstance(golden, dict):
-        return findings
-    registered = set(machines)
-
-    results = golden.get("figattack", {}).get("results", {})
-    if isinstance(results, dict):
-        for kind in sorted(results):
-            curves = results[kind]
-            if not isinstance(curves, dict):
-                continue
-            for name in machines:
-                if name not in curves:
-                    findings.append(
-                        Finding(
-                            "machines.machine-not-covered",
-                            _REGISTRY_REL,
-                            line,
-                            f"machine {name!r} has no pinned curve in the "
-                            f"golden figattack {kind!r} grid "
-                            f"({_GOLDEN_REL}); refresh with "
-                            "tools/update_goldens.py",
-                        )
-                    )
-            for name in sorted(set(curves) - registered):
-                findings.append(
-                    Finding(
-                        "machines.unknown-machine",
-                        _REGISTRY_REL,
-                        line,
-                        f"golden figattack {kind!r} grid pins a curve for "
-                        f"{name!r}, which is not a registered machine",
-                    )
-                )
-
-    normalized = golden.get("figscale", {}).get("normalized", {})
-    if isinstance(normalized, dict):
-        for group in sorted(normalized):
-            curves = normalized[group]
-            if not isinstance(curves, dict):
-                continue
-            for name in machines:
-                if name == _NORMALIZATION_BASE:
-                    continue
-                if name not in curves:
-                    findings.append(
-                        Finding(
-                            "machines.machine-not-covered",
-                            _REGISTRY_REL,
-                            line,
-                            f"machine {name!r} has no pinned curve in the "
-                            f"golden figscale normalized[{group!r}] grid "
-                            f"({_GOLDEN_REL}); refresh with "
-                            "tools/update_goldens.py",
-                        )
-                    )
-            for name in sorted(set(curves) - (registered - {_NORMALIZATION_BASE})):
-                findings.append(
-                    Finding(
-                        "machines.unknown-machine",
-                        _REGISTRY_REL,
-                        line,
-                        f"golden figscale normalized[{group!r}] grid pins a "
-                        f"curve for {name!r}, which is not a registered "
-                        "(non-base) machine",
-                    )
-                )
-    return findings
-
-
-def _check_audit(ctx: RepoContext, line: int) -> List[Finding]:
-    """Every machines/ module is audited; every audited one exists."""
-    findings: List[Finding] = []
-    audit = _load_json(ctx, _AUDIT_REL)
-    if not isinstance(audit, dict) or not isinstance(audit.get("digests"), dict):
-        return findings
-    digests = audit["digests"]
-    prefix = "src/repro/machines/"
-    scanned = {f.rel for f in ctx.in_prefix(prefix)}
-    for rel in sorted(scanned - set(digests)):
-        findings.append(
-            Finding(
-                "machines.machine-not-covered",
-                rel,
-                1,
-                f"machine-layer module is absent from the model-audit "
-                f"manifest ({_AUDIT_REL}); refresh with "
-                "tools/check_static.py --update-model-audit",
-            )
-        )
-    audited = {rel for rel in digests if rel.startswith(prefix)}
-    for rel in sorted(audited - scanned):
-        findings.append(
-            Finding(
-                "machines.unknown-machine",
-                _REGISTRY_REL,
-                line,
-                f"model-audit manifest digests {rel!r}, which no longer "
-                "exists in the scanned tree; refresh with "
-                "tools/check_static.py --update-model-audit",
-            )
-        )
-    return findings
-
-
-def _check_docs(
-    ctx: RepoContext, line: int, machines: Tuple[str, ...]
-) -> List[Finding]:
-    """Every registered machine is at least mentioned in the doc tables."""
-    findings: List[Finding] = []
-    for rel in _DOC_RELS:
-        path = ctx.root / rel
-        if not path.is_file():
-            continue
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:  # pragma: no cover - docs always readable
-            continue
-        for name in machines:
-            if name not in text:
-                findings.append(
-                    Finding(
-                        "machines.machine-not-covered",
-                        _REGISTRY_REL,
-                        line,
-                        f"machine {name!r} is never mentioned in {rel}; "
-                        "document it in the machine/attack tables",
-                    )
-                )
-    return findings
+    return registry_names(ctx.file(_REGISTRY_REL), "MACHINES")
 
 
 @checker
 def check_machines(ctx: RepoContext) -> List[Finding]:
-    """Cross-check the MACHINES registry against goldens, audit and docs."""
+    """Every registered machine is a list or table entry in the docs."""
     line, machines = registered_machines(ctx)
     if line is None or not machines:
         # No registry in this context (unit-test snippets): nothing to
         # cross-check.
         return []
-    findings = _check_goldens(ctx, line, machines)
-    findings.extend(_check_audit(ctx, line))
-    findings.extend(_check_docs(ctx, line, machines))
+    findings: List[Finding] = []
+    for rel in _DOC_RELS:
+        path = ctx.root / rel
+        if not path.is_file():
+            continue
+        text = path.read_text(encoding="utf-8")
+        for name in machines:
+            if f"**{name}**" not in text and f"`{name}`" not in text:
+                findings.append(
+                    Finding(
+                        "machines.machine-not-covered",
+                        _REGISTRY_REL,
+                        line,
+                        f"machine {name!r} is not listed in {rel}; add it "
+                        f"to the machine tables as **{name}** or `{name}`",
+                    )
+                )
     return findings

@@ -11,8 +11,9 @@ is a chaos facility whose every injection decision derives from
 faulted run can be replayed injection-for-injection.
 
 **Injection sites.**  Code under test consults :func:`should_inject`
-with one of the registered :data:`INJECTION_SITES` names (the
-``faults.*`` static-analysis rules keep the two in sync):
+with one of the registered :data:`INJECTION_SITES` names (any other
+name raises ``ValueError``; the ``faults.dead-site`` static rule
+reports a registered site that nothing consults):
 
 * ``worker_crash`` — a pool worker hard-exits (``os._exit``) at chunk
   start, simulating an OOM-kill or segfault;
@@ -55,9 +56,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-#: Every registered injection-site name.  The ``faults.unknown-site`` /
-#: ``faults.dead-site`` static rules enforce that consults and this
-#: registry stay in sync in both directions.
+#: Every registered injection-site name.  :func:`should_inject` raises
+#: on any other name, armed or not; the ``faults.dead-site`` static
+#: rule reports a site here that no ``should_inject`` call consults.
 INJECTION_SITES = (
     "worker_crash",
     "unit_exception",

@@ -5,8 +5,8 @@ seeded decisions, cross-process token budgets), the store integrity
 chain (payload digests, quarantine, ENOSPC degradation, kill-point
 crash consistency, the gc-vs-reader race), the sweep scheduler's
 retry/backoff/serial-fallback machinery with its ``SweepHealth``
-accounting, the opt-in progress heartbeat, and the ``faults.*``
-static-analysis rules that keep the site registry honest.
+accounting, the opt-in progress heartbeat, and the ``faults.dead-site``
+static-analysis rule that keeps every registered site consulted.
 """
 
 from __future__ import annotations
@@ -399,7 +399,7 @@ class TestCliSpecValidation:
 
 
 # ---------------------------------------------------------------------------
-# faults.* static rules
+# faults.dead-site static rule
 # ---------------------------------------------------------------------------
 
 _REGISTRY_SNIPPET = textwrap.dedent(
@@ -423,25 +423,12 @@ def _faults_ctx(consumer_text: str, registry: str = _REGISTRY_SNIPPET):
 
 
 class TestFaultsStaticRules:
-    def test_unknown_site_flagged(self):
-        ctx = _faults_ctx(
-            'should_inject("worker_crash")\nshould_inject("oops_site")\n'
-            'should_inject("unit_exception")\n'
-        )
-        findings = check_faults(ctx)
-        assert [f.rule for f in findings] == ["faults.unknown-site"]
-        assert "oops_site" in findings[0].message
-
-    def test_non_literal_site_flagged(self):
-        ctx = _faults_ctx(
-            'site = "worker_crash"\nshould_inject(site)\n'
-            'should_inject("unit_exception")\nshould_inject("worker_crash")\n'
-        )
-        findings = check_faults(ctx)
-        assert [f.rule for f in findings] == ["faults.site-not-literal"]
-
     def test_dead_site_reported_at_registry(self):
-        ctx = _faults_ctx('should_inject("worker_crash")\n')
+        # A non-literal consult names no site the rule can see.
+        ctx = _faults_ctx(
+            'should_inject("worker_crash")\n'
+            'site = "unit_exception"\nshould_inject(site)\n'
+        )
         findings = check_faults(ctx)
         assert [f.rule for f in findings] == ["faults.dead-site"]
         assert findings[0].path == "src/repro/faults.py"

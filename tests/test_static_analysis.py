@@ -288,8 +288,8 @@ class TestHygieneRules:
 # ---------------------------------------------------------------------------
 
 #: A doctored native.py: l1_filter's first argument should be a pointer
-#: but is declared c_int64 (the address-truncation bug), stats_probe has
-#: the wrong arity, and missing_kernel() has no declaration at all.
+#: but is declared c_int64, and stats_probe has the wrong arity and
+#: restype.
 _BROKEN_NATIVE = '''
 import ctypes
 
@@ -306,10 +306,6 @@ i64 stats_probe(const i64 *addrs, i64 n, i64 *stats_out) {
     return 0;
 }
 
-i64 missing_kernel(const i64 *addrs, i64 n) {
-    return n;
-}
-
 static i64 helper(i64 x) { return x; }
 """
 
@@ -322,8 +318,6 @@ def _load(path):
     lib.l1_filter.restype = i64
     lib.stats_probe.argtypes = [ptr, i64]
     lib.stats_probe.restype = ptr
-    lib.ghost_kernel.argtypes = [ptr]
-    lib.ghost_kernel.restype = i64
     return lib
 '''
 
@@ -348,34 +342,16 @@ class TestKernelAbi:
         assert "abi.arity-mismatch" in found
         # stats_probe restype is a pointer, C returns i64.
         assert "abi.restype-mismatch" in found
-        # missing_kernel has no declaration; ghost_kernel has no C body.
-        assert "abi.missing-decl" in found
-        assert "abi.extra-decl" in found
 
     def test_real_native_module_is_clean(self):
         ctx = RepoContext.scan(REPO)
         findings = abi.check_kernel_abi(ctx)
         assert findings == []
-
-    def test_stats_layout_mismatch_detected(self):
-        doctored = _BROKEN_NATIVE + snippet(
-            """
-            import numpy as np
-
-            class NativeCache:
-                def __init__(self):
-                    self._stats_out = np.zeros(2, dtype=np.int64)
-
-                def read(self):
-                    return self._stats_out[2]
-            """
-        )
-        ctx = RepoContext(REPO, [])
-        src = SourceFile.from_text("src/repro/arch/native.py", doctored)
-        findings = abi.check_kernel_abi(ctx, native_src=src)
-        layout = [f for f in findings if f.rule == "abi.stats-layout"]
-        messages = " ".join(f.message for f in layout)
-        assert "allocates 2 slots" in messages
+        # Not vacuous: the kernels and their declarations were found.
+        tree = ctx.file("src/repro/arch/native.py").tree
+        protos = abi.parse_c_prototypes(constant_str_assign(tree, "_C_SOURCE"))
+        assert "replay_events" in protos
+        assert "replay_events" in abi.parse_ctypes_decls(tree)
 
     def test_strided_output_mismatch_detected(self):
         """Per-segment/per-cache output strides: C writes vs Python uses."""
@@ -539,13 +515,6 @@ class TestCacheKeys:
         )
         unit = [f for f in findings if f.rule == "keys.unit-field-unkeyed"]
         assert len(unit) == 1 and "extra" in unit[0].message
-
-    def test_missing_config_hash_flagged(self):
-        sweep = _SWEEP_FIXTURE.replace("settings.config.config_hash()", "0")
-        findings = cache_keys.check_settings_keyed(
-            _keys_ctx(_RUNNER_FIXTURE, sweep)
-        )
-        assert "keys.config-hash-missing" in rules(findings)
 
     def test_app_override_from_params_clean_constant_flagged(self):
         sweep = _SWEEP_FIXTURE + snippet(
@@ -749,7 +718,7 @@ class TestMpSafety:
 
 
 # ---------------------------------------------------------------------------
-# machines.*: the registry vs goldens, audit manifest and docs
+# machines.*: every registered machine is listed in the docs
 # ---------------------------------------------------------------------------
 
 
@@ -763,51 +732,14 @@ _MACHINES_REGISTRY = snippet(
 )
 
 
-def _synced_golden() -> dict:
-    return {
-        "model": "test-model",
-        "figattack": {
-            "results": {
-                "covert": {"insecure": [1], "mi6": [2]},
-                "spectre": {"insecure": [1], "mi6": [2]},
-            }
-        },
-        "figscale": {"normalized": {"all": {"mi6": [1.0]}}},
-    }
+def _machines_ctx(tmp_path, docs="* **insecure**\n* **mi6**\n"):
+    """A doctored repo root + context for the machines rule.
 
-
-def _machines_ctx(tmp_path, registry_text=_MACHINES_REGISTRY, golden="synced",
-                  audit="synced", docs="synced", extra_files=()):
-    """A doctored repo root + context for the machines rules.
-
-    ``golden``/``audit``/``docs`` accept ``"synced"`` (write an artifact
-    consistent with the registry), ``None`` (write nothing) or explicit
-    content (a dict for the JSON artifacts, text for the docs).
+    ``docs`` is the text written to both doc files (``None``: write
+    nothing).
     """
-    files = [
-        SourceFile.from_text("src/repro/machines/__init__.py", registry_text),
-        SourceFile.from_text("src/repro/machines/base.py", "class Machine: ...\n"),
-    ]
-    files.extend(SourceFile.from_text(rel, text) for rel, text in extra_files)
-    (tmp_path / "tests" / "golden").mkdir(parents=True, exist_ok=True)
+    files = [SourceFile.from_text("src/repro/machines/__init__.py", _MACHINES_REGISTRY)]
     (tmp_path / "docs").mkdir(exist_ok=True)
-    if golden == "synced":
-        golden = _synced_golden()
-    if golden is not None:
-        (tmp_path / "tests" / "golden" / "figures_quick.json").write_text(
-            json.dumps(golden)
-        )
-    if audit == "synced":
-        audit = {
-            "model_version": "test-model",
-            "digests": {f.rel: "x" for f in files},
-        }
-    if audit is not None:
-        (tmp_path / "tests" / "golden" / "model_audit.json").write_text(
-            json.dumps(audit)
-        )
-    if docs == "synced":
-        docs = "insecure mi6\n"
     if docs is not None:
         for rel in ("docs/architecture.md", "docs/experiments.md"):
             (tmp_path / rel).write_text(docs)
@@ -825,67 +757,21 @@ class TestMachineRules:
         assert names == ("insecure", "mi6")
         assert line == 1
 
-    def test_machine_missing_from_attack_grid_flagged(self, tmp_path):
-        golden = _synced_golden()
-        del golden["figattack"]["results"]["spectre"]["mi6"]
-        ctx = _machines_ctx(tmp_path, golden=golden)
-        findings = machines.check_machines(ctx)
-        assert [f.rule for f in findings] == ["machines.machine-not-covered"]
-        assert "'spectre'" in findings[0].message and "'mi6'" in findings[0].message
-        assert findings[0].path == "src/repro/machines/__init__.py"
-
-    def test_stale_golden_curve_flagged(self, tmp_path):
-        golden = _synced_golden()
-        golden["figattack"]["results"]["covert"]["enclave9000"] = [3]
-        ctx = _machines_ctx(tmp_path, golden=golden)
-        findings = machines.check_machines(ctx)
-        assert [f.rule for f in findings] == ["machines.unknown-machine"]
-        assert "enclave9000" in findings[0].message
-
-    def test_normalization_base_exempt_from_figscale(self, tmp_path):
-        # The synced fixture already omits 'insecure' from normalized:
-        # that must not count as missing coverage...
-        ctx = _machines_ctx(tmp_path)
-        assert machines.check_machines(ctx) == []
-        # ...but a protected machine missing from a group is flagged.
-        golden = _synced_golden()
-        golden["figscale"]["normalized"]["all"] = {}
-        findings = machines.check_machines(_machines_ctx(tmp_path, golden=golden))
-        assert [f.rule for f in findings] == ["machines.machine-not-covered"]
-        assert "figscale" in findings[0].message
-
     def test_machine_missing_from_docs_flagged(self, tmp_path):
-        ctx = _machines_ctx(tmp_path, docs="only insecure here\n")
-        findings = machines.check_machines(ctx)
-        assert {f.rule for f in findings} == {"machines.machine-not-covered"}
-        assert len(findings) == 2  # one per doc file
-        assert all("'mi6'" in f.message for f in findings)
-
-    def test_unaudited_machine_module_flagged(self, tmp_path):
-        audit = {"model_version": "test-model",
-                 "digests": {"src/repro/machines/__init__.py": "x"}}
-        ctx = _machines_ctx(tmp_path, audit=audit)
-        findings = machines.check_machines(ctx)
-        assert [f.rule for f in findings] == ["machines.machine-not-covered"]
-        assert findings[0].path == "src/repro/machines/base.py"
-        assert "model-audit" in findings[0].message
-
-    def test_audited_ghost_module_flagged(self, tmp_path):
-        audit = {
-            "model_version": "test-model",
-            "digests": {
-                "src/repro/machines/__init__.py": "x",
-                "src/repro/machines/base.py": "x",
-                "src/repro/machines/ghost.py": "x",
-            },
-        }
-        ctx = _machines_ctx(tmp_path, audit=audit)
-        findings = machines.check_machines(ctx)
-        assert [f.rule for f in findings] == ["machines.unknown-machine"]
-        assert "ghost.py" in findings[0].message
+        for i, docs in enumerate((
+            "* **insecure**\n",
+            # Prose mentions are not entries: mi6 appears only in a sentence.
+            "| `insecure` |\nunlike mi6, the insecure machine never purges\n",
+        )):
+            root = tmp_path / str(i)
+            root.mkdir()
+            findings = machines.check_machines(_machines_ctx(root, docs=docs))
+            assert {f.rule for f in findings} == {"machines.machine-not-covered"}
+            assert len(findings) == 2  # one per doc file
+            assert all("'mi6'" in f.message for f in findings)
 
     def test_missing_artifacts_mean_no_findings(self, tmp_path):
-        ctx = _machines_ctx(tmp_path, golden=None, audit=None, docs=None)
+        ctx = _machines_ctx(tmp_path, docs=None)
         assert machines.check_machines(ctx) == []
 
     def test_no_registry_means_no_findings(self, tmp_path):
@@ -907,26 +793,42 @@ class TestMachineRules:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def repo_report():
+    """One whole-repo scan shared by every test that reads it."""
+    return run_all(REPO)
+
+
+def _check_static(*argv, cwd=REPO):
+    return subprocess.run(
+        [sys.executable, str(REPO / "tools" / "check_static.py"), *argv],
+        capture_output=True, text=True, cwd=cwd,
+    )
+
+
+@pytest.fixture(scope="module")
+def cli_json_run():
+    """One ``check_static.py --json -`` run shared by the CLI tests."""
+    return _check_static("--json", "-")
+
+
 class TestRepoIsClean:
-    def test_repo_passes_static_analysis(self):
-        report = run_all(REPO)
-        assert report.findings == [], "\n".join(
-            str(f) for f in report.findings
+    def test_repo_passes_static_analysis(self, repo_report):
+        assert repo_report.findings == [], "\n".join(
+            str(f) for f in repo_report.findings
         )
 
-    def test_suppressions_all_carry_pragmas(self):
-        report = run_all(REPO)
-        for f in report.suppressed:
+    def test_suppressions_all_carry_pragmas(self, repo_report):
+        for f in repo_report.suppressed:
             src = (REPO / f.path).read_text(encoding="utf-8").splitlines()
             window = "\n".join(src[max(0, f.line - 2):f.line])
             assert "repro: allow[" in window, f
 
-    def test_report_json_roundtrip(self):
-        report = run_all(REPO)
-        data = json.loads(report.to_json())
+    def test_report_json_roundtrip(self, repo_report):
+        data = json.loads(repo_report.to_json())
         assert data["ok"] is True
         assert data["findings"] == []
-        assert len(data["suppressed"]) == len(report.suppressed)
+        assert len(data["suppressed"]) == len(repo_report.suppressed)
 
     def test_finding_str_format(self):
         f = Finding("mp.global-write", "src/repro/x.py", 12, "boom")
@@ -934,19 +836,13 @@ class TestRepoIsClean:
 
 
 class TestCheckStaticCli:
-    def _run(self, *argv, cwd=REPO):
-        return subprocess.run(
-            [sys.executable, str(REPO / "tools" / "check_static.py"), *argv],
-            capture_output=True, text=True, cwd=cwd,
-        )
-
-    def test_cli_reports_clean_repo(self):
-        proc = self._run()
+    def test_cli_reports_clean_repo(self, cli_json_run):
+        proc = cli_json_run
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 finding(s)" in proc.stdout
 
-    def test_cli_json_report(self):
-        proc = self._run("--json", "-")
+    def test_cli_json_report(self, cli_json_run):
+        proc = cli_json_run
         assert proc.returncode == 0
         start = proc.stdout.index("{")
         end = proc.stdout.rindex("}") + 1
@@ -954,10 +850,10 @@ class TestCheckStaticCli:
         assert data["ok"] is True
 
     def test_cli_list_rules(self):
-        proc = self._run("--list-rules")
+        proc = _check_static("--list-rules")
         assert proc.returncode == 0
-        for fam in ("determinism", "abi", "cache_keys", "mp_safety", "machines"):
-            assert fam in proc.stdout
+        listed = {line.split(":", 1)[0] for line in proc.stdout.splitlines()}
+        assert listed == {fn.__module__ for fn in registered_checkers()}
 
     def test_cli_fails_on_seeded_violation(self, tmp_path):
         root = tmp_path / "repo"

@@ -15,7 +15,7 @@ bump ``MODEL_VERSION`` first if stored payload values changed.
 
 Usage:
     python tools/check_static.py [--json PATH] [--list-rules]
-                                 [--update-model-audit]
+                                 [--update-model-audit] [--root DIR]
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ their own so a regression in either regression suite is reported by
 name even though both already ran inside tier-1.
 
 A ``static`` phase runs first: ``tools/check_static.py`` — the
-repo-native static analysis suite (determinism lint, kernel ABI
-parity, cache-key completeness, multiprocessing safety) — must report
-zero findings.
+repo-native static analysis suite (determinism and hygiene lint,
+kernel ABI parity, cache-key completeness and the model-version audit,
+multiprocessing safety, dead fault-injection sites, machines missing
+from the docs) — must report zero findings.
 
 A ``docs`` phase keeps the prose honest: every repo path named in
 ``docs/architecture.md``, ``docs/experiments.md``, ``docs/scaling.md``,
