@@ -97,6 +97,13 @@ class TestPlanGrammar:
         with pytest.raises(ValueError, match="unknown injection site"):
             should_inject("definitely_not_a_site")
 
+    @pytest.mark.parametrize("site", faults_mod.INJECTION_SITES)
+    def test_each_registered_site_fires_only_for_its_rule(self, site):
+        faults_mod.install(FaultPlan.parse(f"{site}:1"))
+        assert should_inject(site)
+        others = [s for s in faults_mod.INJECTION_SITES if s != site]
+        assert not any(should_inject(other) for other in others)
+
 
 # ---------------------------------------------------------------------------
 # Deterministic decisions and budgets
@@ -424,6 +431,13 @@ def _faults_ctx(consumer_text: str, registry: str = _REGISTRY_SNIPPET):
 
 class TestFaultsStaticRules:
     def test_dead_site_reported_at_registry(self):
+        ctx = _faults_ctx('should_inject("worker_crash")\n')
+        findings = check_faults(ctx)
+        assert [f.rule for f in findings] == ["faults.dead-site"]
+        assert findings[0].path == "src/repro/faults.py"
+        assert "unit_exception" in findings[0].message
+
+    def test_non_literal_consult_leaves_site_dead(self):
         # A non-literal consult names no site the rule can see.
         ctx = _faults_ctx(
             'should_inject("worker_crash")\n'
@@ -431,7 +445,6 @@ class TestFaultsStaticRules:
         )
         findings = check_faults(ctx)
         assert [f.rule for f in findings] == ["faults.dead-site"]
-        assert findings[0].path == "src/repro/faults.py"
         assert "unit_exception" in findings[0].message
 
     def test_synced_registry_is_clean(self):

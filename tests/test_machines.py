@@ -7,16 +7,23 @@ machine is exercised here the moment it registers.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import SystemConfig, build_machine, get_app
+from repro.analysis.cache_keys import MODEL_AUDIT_REL
+from repro.attacks.environment import ISOLATION_MODELS
+from repro.experiments import figscale
 from repro.machines import MACHINES
 from repro.machines.ironhide import IronhideMachine
 from repro.secure.isolation import SpatialClusterPolicy
 from repro.secure.predictor import OptimalPredictor, StaticPredictor
 from repro.units import cycles_from_us
 
+REPO = Path(__file__).resolve().parents[1]
 APP = "<AES, QUERY>"
 OS_APP = "<MEMCACHED, OS>"
 N = 8
@@ -201,6 +208,41 @@ class TestRegistryCoverage:
                 "full suite (or tests/test_replay_equivalence.py) to check "
                 "registry coverage"
             )
+
+
+    def test_figure_grids_span_registry(self):
+        """figattack sweeps every machine; figscale every machine but
+        the insecure normalization base."""
+        assert ISOLATION_MODELS == tuple(MACHINES)
+        assert set(figscale.MACHINES) == set(MACHINES) - {"insecure"}
+
+    def test_golden_attack_curves_match_registry(self):
+        golden = json.loads(
+            (REPO / "tests" / "golden" / "figures_quick.json").read_text()
+        )
+        for attack, curves in golden["figattack"]["results"].items():
+            assert set(curves) == set(MACHINES), attack
+
+    def test_golden_scale_curves_match_registry(self):
+        golden = json.loads(
+            (REPO / "tests" / "golden" / "figures_quick.json").read_text()
+        )
+        for level, curves in golden["figscale"]["normalized"].items():
+            assert set(curves) == set(MACHINES) - {"insecure"}, level
+
+    def test_audit_manifest_lists_machine_modules(self):
+        """Every machine module is digested by the model-version audit,
+        and the audit names no module that is gone."""
+        manifest = json.loads((REPO / MODEL_AUDIT_REL).read_text())
+        audited = {
+            rel for rel in manifest["digests"]
+            if rel.startswith("src/repro/machines/")
+        }
+        on_disk = {
+            p.relative_to(REPO).as_posix()
+            for p in (REPO / "src" / "repro" / "machines").rglob("*.py")
+        }
+        assert audited == on_disk
 
 
 class TestOsLevelBehaviour:

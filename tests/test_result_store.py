@@ -7,6 +7,7 @@ writes, cross-process reuse, and the ``no_cache`` read-bypass.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -100,6 +101,19 @@ class TestValidation:
         vector = ExperimentSettings(n_user=2)
         vector.config = vector.config.with_engine("vector")
         assert unit_cache_key(unit, scalar) != unit_cache_key(unit, vector)
+
+    def test_config_change_means_different_key(self):
+        """Any config field reaches the key through the config hash, so
+        a result computed under one cost model is never served for
+        another."""
+        unit = run_unit("<AES, QUERY>", "sgx")
+        base = ExperimentSettings(n_user=2)
+        slower = ExperimentSettings(n_user=2)
+        slower.config = dataclasses.replace(
+            slower.config,
+            costs=dataclasses.replace(slower.config.costs, sgx_crossing_us=6.0),
+        )
+        assert unit_cache_key(unit, base) != unit_cache_key(unit, slower)
 
     def test_run_unit_overrides_get_distinct_keys(self):
         """A default run, a run at scale 1.0 and one with an explicit
