@@ -14,7 +14,12 @@ the context it would have run under.  The plan phase performs, once
 over the entire schedule:
 
 * run-length compression (reset at segment starts, so the event list is
-  exactly the concatenation of the per-call event lists);
+  exactly the concatenation of the per-call event lists).  Segments cut
+  from a :class:`~repro.sim.bundle.TraceBundle` reuse the events the
+  bundle cached the first time any plan asked (:func:`compress_runs`
+  over all its segments); only the others — IPC transfers,
+  :meth:`~repro.arch.hierarchy.MemoryHierarchy.run_trace_batched`
+  input — are compressed per plan;
 * page translation, reproducing the per-call allocation order — for
   every virtual page the allocation priority is ``(segment of first
   touch, page number)``, which is precisely the order the per-call
@@ -28,7 +33,8 @@ over the entire schedule:
 Execution happens in *epochs* — contiguous segment ranges with no
 intervening purge/flush.  Each epoch is one call of the fused
 :func:`~repro.arch.native.replay_events` kernel, which walks the
-events in trace order with the scalar oracle's per-event rule and
+events in trace order with the scalar oracle's per-event rule over the
+hierarchy's state arena, updates the caches' stats in place and
 returns per-segment counters; no Python runs per event or per batch.
 Purge events (MI6's per-crossing flushes) act as epoch barriers: the
 machine replays up to the barrier, applies the purge against the live
@@ -52,21 +58,58 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.hierarchy import MemoryHierarchy, ProcessContext, TraceResult
 from repro.arch.native import first_touch
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.bundle import TraceBundle
+
 
 @dataclass
 class Segment:
-    """One per-call replay unit: a context and its address stream."""
+    """One per-call replay unit: a context and its address stream.
+
+    A segment cut from a :class:`~repro.sim.bundle.TraceBundle` names
+    it and its segment ``index``; the planner then takes the bundle's
+    cached compressed events instead of compressing ``addrs`` again.
+    """
 
     ctx: ProcessContext
     addrs: np.ndarray
     writes: Optional[np.ndarray] = None
+    bundle: Optional["TraceBundle"] = None
+    index: int = 0
+
+
+def compress_runs(
+    vlines: np.ndarray, writes: Optional[np.ndarray], offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run-length compression of concatenated segments.
+
+    Segment ``k`` is ``vlines[offsets[k]:offsets[k+1]]`` (line ids) with
+    its int8 store flags in ``writes`` (None: all reads).  Each run of equal
+    line ids within a segment becomes one event — runs never span a
+    segment start — whose write flag is the maximum over the run.
+    Returns ``(ev_vlines, ev_writes, ev_offsets)``, segment ``k``'s
+    events being ``[ev_offsets[k], ev_offsets[k+1])``.
+    """
+    total = len(vlines)
+    change = np.empty(total, dtype=bool)
+    if total:
+        change[0] = True
+        np.not_equal(vlines[1:], vlines[:-1], out=change[1:])
+        starts = offsets[:-1]
+        change[starts[starts < total]] = True
+    ev_idx = np.flatnonzero(change)
+    if writes is None:
+        ev_writes = np.zeros(len(ev_idx), dtype=np.int8)
+    else:
+        ev_writes = np.maximum.reduceat(writes, ev_idx)
+    return vlines[ev_idx], ev_writes, np.searchsorted(ev_idx, offsets)
 
 
 def _group_key(ctx: ProcessContext) -> Tuple:
@@ -112,9 +155,7 @@ class BatchReplayer:
 
         lens = np.fromiter((len(s.addrs) for s in segs), dtype=np.int64, count=n_seg)
         self.seg_lens = lens
-        acc_off = np.zeros(n_seg + 1, dtype=np.int64)
-        np.cumsum(lens, out=acc_off[1:])
-        total = int(acc_off[-1])
+        total = int(lens.sum())
 
         # Context groups (order of first appearance).
         group_index: Dict[Tuple, int] = {}
@@ -130,8 +171,8 @@ class BatchReplayer:
                 if seg.ctx.replication:
                     hier._replica_refs[id(seg.ctx)] = weakref.ref(seg.ctx)
             seg_group.append(gi)
-        self._seg_core = [s.ctx.rep_core for s in segs]
-        self.seg_info = np.asarray([self._seg_core, seg_group], dtype=np.int64).T.ravel()
+        seg_core = [s.ctx.rep_core for s in segs]
+        self.seg_info = np.asarray([seg_core, seg_group], dtype=np.int64).T.ravel()
 
         # Groups sharing one replica set share one kernel table, so the
         # first-touch order stays global across them.
@@ -150,34 +191,11 @@ class BatchReplayer:
         if total == 0:
             self.seg_ev_start = np.zeros(n_seg + 1, dtype=np.int64)
             self.compressed = [0] * n_seg
-            self._ev_counts = [0] * n_seg
             return
 
-        all_addrs = np.concatenate([np.ascontiguousarray(s.addrs, dtype=np.int64)
-                                    for s in segs if len(s.addrs)])
-        all_writes = np.concatenate([
-            s.writes.astype(np.int8, copy=False)
-            if s.writes is not None else np.zeros(len(s.addrs), dtype=np.int8)
-            for s in segs if len(s.addrs)
-        ])
-        vlines = all_addrs >> hier._line_shift
-
-        # Run-length compression, reset at segment starts so the global
-        # event list is the exact concatenation of the per-call lists.
-        change = np.empty(total, dtype=bool)
-        change[0] = True
-        np.not_equal(vlines[1:], vlines[:-1], out=change[1:])
-        change[acc_off[:-1][lens > 0]] = True
-        ev_idx = np.flatnonzero(change)
-        ev_before = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(change, out=ev_before[1:])
-        self.seg_ev_start = ev_before[acc_off]
+        ev_vlines, self.ev_writes, self.seg_ev_start = self._events(lens)
         ev_per_seg = np.diff(self.seg_ev_start)
-        self._ev_counts = ev_per_seg.tolist()
         self.compressed = (lens - ev_per_seg).tolist()
-
-        ev_vlines = vlines[ev_idx]
-        self.ev_writes = np.maximum.reduceat(all_writes, ev_idx)
         self.ev_vpages = ev_vpages = ev_vlines >> hier._lp_shift
 
         # First touches, in event order: per (group, page), then per
@@ -224,6 +242,55 @@ class BatchReplayer:
         self.ev_homes = hier.home_table[g_frame][g_inv]
         self.ev_mcs = hier._mc_of_region[g_frame // hier._frames_per_region][g_inv]
 
+    def _events(self, lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The schedule's compressed events: ``(vlines, writes, seg_ev_start)``.
+
+        Segments cut from a bundle take the bundle's cached events;
+        the rest (IPC transfers, ``run_trace_batched`` input) are
+        compressed here, together, by the same :func:`compress_runs`.
+        Either way the event list is the concatenation of the per-call
+        lists.
+        """
+        segs = self.segments
+        fresh = [k for k, s in enumerate(segs) if s.bundle is None]
+        pieces = [None] * len(segs)
+        if fresh:
+            f_lens = lens[fresh]
+            f_off = np.zeros(len(fresh) + 1, dtype=np.int64)
+            np.cumsum(f_lens, out=f_off[1:])
+            addrs = np.concatenate(
+                [np.ascontiguousarray(segs[k].addrs, dtype=np.int64) for k in fresh]
+            )
+            writes = None
+            if any(segs[k].writes is not None for k in fresh):
+                writes = np.concatenate([
+                    np.zeros(n, dtype=np.int8) if segs[k].writes is None
+                    else segs[k].writes.astype(np.int8, copy=False)
+                    for k, n in zip(fresh, f_lens.tolist())
+                ])
+            f_vlines, f_writes, f_ev = compress_runs(
+                addrs >> self.hier._line_shift, writes, f_off
+            )
+            if len(fresh) == len(segs):
+                return f_vlines, f_writes, f_ev
+            f_ev = f_ev.tolist()
+            for j, k in enumerate(fresh):
+                a, b = f_ev[j], f_ev[j + 1]
+                pieces[k] = (f_vlines[a:b], f_writes[a:b])
+        line_bytes = self.hier.config.line_bytes
+        for k, s in enumerate(segs):
+            if s.bundle is not None:
+                vlines, writes, ev_off = s.bundle.events(line_bytes)
+                a, b = ev_off[s.index], ev_off[s.index + 1]
+                pieces[k] = (vlines[a:b], writes[a:b])
+        seg_ev = np.zeros(len(segs) + 1, dtype=np.int64)
+        np.cumsum([len(v) for v, _ in pieces], out=seg_ev[1:])
+        return (
+            np.concatenate([v for v, _ in pieces]),
+            np.concatenate([w for _, w in pieces]),
+            seg_ev,
+        )
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -238,11 +305,6 @@ class BatchReplayer:
         if self.seg_ev_start[seg_a] == self.seg_ev_start[seg_b]:
             return results
 
-        # Private L1s and TLBs exist for exactly the cores with events.
-        for core, n_ev in zip(self._seg_core[seg_a:seg_b], self._ev_counts[seg_a:seg_b]):
-            if n_ev:
-                hier.l1_for(core)
-                hier.tlb_for(core)
         hier.replay_segments(
             self.seg_ev_start[seg_a : seg_b + 1],
             self.seg_info[2 * seg_a : 2 * seg_b],

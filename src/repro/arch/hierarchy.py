@@ -39,9 +39,10 @@ once per hierarchy, which one actually runs:
     The compiled engine.  Run-length compression, translation and
     homing run in NumPy; the events then replay through the fused
     :func:`repro.arch.native.replay_events` kernel — the oracle's
-    per-event rule, compiled, over the
-    :class:`repro.arch.native.NativeCache` matrices — in one call per
-    trace (or per batched epoch, see :mod:`repro.arch.batch_replay`).
+    per-event rule, compiled, over the hierarchy's
+    :class:`repro.arch.native.StateArena`, which holds every cache and
+    TLB from construction on — in one call per trace (or per batched
+    epoch, see :mod:`repro.arch.batch_replay`).
     Traces of at most :data:`SMALL_TRACE` accesses skip NumPy: a list
     front end feeds the per-event loop, run over the compiled caches
     (see :meth:`MemoryHierarchy.run_trace`).  Without a C toolchain a
@@ -69,8 +70,11 @@ from repro.arch.dram import DramSystem
 from repro.arch.memory_controller import MemoryController
 from repro.arch.mesh import MeshTopology
 from repro.arch.native import (
+    HITS,
+    MISSES,
     NativeCache,
     NativeTlb,
+    StateArena,
     native_available,
     replay_events,
 )
@@ -260,7 +264,7 @@ class MemoryHierarchy:
             [v] * config.mem.n_controllers for v in mc_dist.min(axis=1).tolist()
         ]
         self._avg_dist_cache: Dict[tuple, list] = {}
-        self._kernel_tables = None
+        self._arena: Optional[StateArena] = None
         if vector:
             self._init_kernel_tables()
         # Contexts with L2 replication enabled, tracked (weakly, by
@@ -269,18 +273,25 @@ class MemoryHierarchy:
         self._replica_refs: Dict[int, "weakref.ref[ProcessContext]"] = {}
 
     def _init_kernel_tables(self) -> None:
-        """Fixed inputs of :func:`~repro.arch.native.replay_events`.
+        """The state arena and fixed inputs of :func:`~repro.arch.native.replay_events`.
 
-        The lazy accessors fill the pointer tables as they create
-        components, so no call rebuilds them.  Controller distances are
-        flattened per (tile, controller); the NUMA table repeats each
-        slice's nearest controller.
+        One :class:`~repro.arch.native.StateArena` holds every L1 (slot
+        ``core``), L2 slice (slot ``n_tiles + tile``) and TLB (slot
+        ``2 * n_tiles + core``), so no call creates or resumes
+        anything.  Controller distances are flattened per (tile,
+        controller); the NUMA table repeats each slice's nearest
+        controller.
         """
         cfg = self.config
         n_tiles = self.mesh.n_cores
         n_mc = cfg.mem.n_controllers
-        self._cache_tab = np.zeros(4 * 2 * n_tiles, dtype=np.int64)
-        self._tlb_tab = np.zeros(3 * n_tiles, dtype=np.int64)
+        self._arena = StateArena(
+            [cfg.l1.n_sets * cfg.l1.associativity] * n_tiles
+            + [cfg.l2_slice.n_sets * cfg.l2_slice.associativity] * n_tiles
+            + [cfg.tlb.entries] * n_tiles
+        )
+        # Slots whose Python view does not exist yet.
+        self._unviewed = np.ones(3 * n_tiles, dtype=bool)
         geom = np.asarray([
             cfg.l1.n_sets - 1, cfg.l1.associativity,
             cfg.l2_slice.n_sets - 1, cfg.l2_slice.associativity,
@@ -292,7 +303,7 @@ class MemoryHierarchy:
             cfg.mem.dram_latency + cfg.mem.mc_service_latency,
             cfg.tlb.miss_walk_latency,
         ], dtype=np.float64)
-        self._kernel_tables = (self._cache_tab, self._tlb_tab, geom, lat)
+        self._kernel_tables = (self._arena, geom, lat)
         mc_dist = self.mesh.mc_distances.astype(np.float64)
         self._d_mc_tabs = (
             np.ascontiguousarray(mc_dist).ravel(),
@@ -303,33 +314,56 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Component accessors (lazy)
     # ------------------------------------------------------------------
+    # A component appears in ``_l1``/``_tlb``/``_l2`` on its first
+    # Python request or, on the vector engine, right after the first
+    # kernel call that touched it (:meth:`_view_touched`): the same
+    # moments the scalar oracle creates it.  So the maps list exactly
+    # the components that were ever used, and the purge paths, which
+    # flush only the components in them, count the same flushes on both
+    # engines.  On the vector engine a component is a view of its slot
+    # in the hierarchy's state arena, which holds every component's
+    # state from construction on.
     def l1_for(self, core: int) -> AnyCache:
         cache = self._l1.get(core)
         if cache is None:
-            cache = self._cache_cls(self.config.l1, f"L1[{core}]")
-            self._l1[core] = cache
-            if self._kernel_tables is not None:
-                self._cache_tab[4 * core : 4 * core + 4] = cache._state_ptrs
+            cache = self._l1[core] = self._component(
+                self._cache_cls, self.config.l1, f"L1[{core}]", core
+            )
         return cache
 
     def tlb_for(self, core: int) -> Union[Tlb, NativeTlb]:
         tlb = self._tlb.get(core)
         if tlb is None:
-            tlb = self._tlb_cls(self.config.tlb, f"TLB[{core}]")
-            self._tlb[core] = tlb
-            if self._kernel_tables is not None:
-                self._tlb_tab[3 * core : 3 * core + 3] = tlb._ptrs
+            tlb = self._tlb[core] = self._component(
+                self._tlb_cls, self.config.tlb, f"TLB[{core}]",
+                2 * self.mesh.n_cores + core,
+            )
         return tlb
 
     def l2_slice(self, tile: int) -> AnyCache:
         cache = self._l2.get(tile)
         if cache is None:
-            cache = self._cache_cls(self.config.l2_slice, f"L2[{tile}]")
-            self._l2[tile] = cache
-            if self._kernel_tables is not None:
-                slot = self.mesh.n_cores + tile
-                self._cache_tab[4 * slot : 4 * slot + 4] = cache._state_ptrs
+            cache = self._l2[tile] = self._component(
+                self._cache_cls, self.config.l2_slice, f"L2[{tile}]",
+                self.mesh.n_cores + tile,
+            )
         return cache
+
+    def _component(self, cls, config, name: str, slot: int):
+        if self._arena is None:
+            return cls(config, name)
+        self._unviewed[slot] = False
+        return cls(config, name, self._arena, slot)
+
+    def _view_touched(self) -> None:
+        """Create the views of the arena slots a kernel call touched."""
+        stats = self._arena.stats
+        touched = self._unviewed & ((stats[:, HITS] | stats[:, MISSES]) != 0)
+        if touched.any():
+            accessors = (self.l1_for, self.l2_slice, self.tlb_for)
+            for slot in np.flatnonzero(touched).tolist():
+                kind, index = divmod(slot, self.mesh.n_cores)
+                accessors[kind](index)
 
     # ------------------------------------------------------------------
     # Homing
@@ -760,8 +794,6 @@ class MemoryHierarchy:
         compressed_hits: int,
     ) -> None:
         """One trace as a one-segment :meth:`replay_segments` call."""
-        self.l1_for(ctx.rep_core)
-        self.tlb_for(ctx.rep_core)
         rep_sets = [ctx._replicated] if ctx.replication else []
         self.replay_segments(
             np.asarray([0, len(ev_plines)], dtype=np.int64),
@@ -801,16 +833,16 @@ class MemoryHierarchy:
         """Replay segments in one fused kernel call; fills their results.
 
         The arguments are :func:`~repro.arch.native.replay_events`'s,
-        ``group_tab`` holding one :meth:`group_row` per group.  Every
-        core with events must already have its L1 and TLB.
+        ``group_tab`` holding one :meth:`group_row` per group.
         ``compressed`` gives each segment's accesses folded into runs
-        (guaranteed L1 hits).
+        (guaranteed L1 hits).  The kernel updates the arena's stats
+        rows itself; the components it touched for the first time get
+        their views here.
         """
-        seg_out, mem_out, mc_out, cache_out = replay_events(
+        seg_out, mem_out, mc_out = replay_events(
             seg_ev, seg_info, events, self._kernel_tables, group_tab, rep_sets,
-            self.l2_slice,
         )
-        self._fold_kernel_stats(cache_out)
+        self._view_touched()
 
         ev_counts = np.diff(seg_ev).tolist()
         mem = mem_out.tolist()
@@ -822,19 +854,6 @@ class MemoryHierarchy:
             r.mem_cycles = int(mem[k])
             if row[4]:
                 r.mc_requests = {mc: n for mc, n in enumerate(mc_out[k].tolist()) if n}
-
-    def _fold_kernel_stats(self, cache_out: np.ndarray) -> None:
-        """Fold ``replay_events``' per-slot stats deltas into the components."""
-        n_tiles = self.mesh.n_cores
-        touched = np.flatnonzero(cache_out[:, 0] + cache_out[:, 1])
-        for slot, deltas in zip(touched.tolist(), cache_out[touched].tolist()):
-            if slot < n_tiles:
-                self._l1[slot]._fold(*deltas)
-            elif slot < 2 * n_tiles:
-                self._l2[slot - n_tiles]._fold(*deltas)
-            else:
-                self._tlb[slot - 2 * n_tiles].stats.hits += deltas[0]
-                self._tlb[slot - 2 * n_tiles].stats.misses += deltas[1]
 
     def _avg_core_distances(self, cores: tuple) -> list:
         """Per-slice hop count averaged over the given cores (cached).

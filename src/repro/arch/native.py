@@ -8,18 +8,28 @@ under ``.cache/native`` next to the repository sources) a small shared
 library.  Its main entry point, :func:`replay_events`, replays a whole
 epoch of segments — TLB, L1, home-slice L2, cost and replica accounting
 — in one call; :func:`first_touch` deduplicates pages for the planner.
-The module exposes :class:`NativeCache`, whose canonical state *is* the
-NumPy matrices:
+
+All cache and TLB state of a vector hierarchy lives in one
+:class:`StateArena`, allocated when the hierarchy is built: one slot
+per L1, L2 slice and TLB, each with its stretch of the shared blocks
 
 ``tags``
-    ``(n_sets, assoc)`` int64, the resident line id per way (-1 empty).
+    int64 resident line ids, a cache's ``(n_sets, assoc)`` matrix
+    flattened (-1 empty); a TLB keeps its page entries here.
 ``dirty``
-    ``(n_sets, assoc)`` int8 modified flags.
+    int8 modified flags, in the same layout.
 ``age``
-    ``(n_sets, assoc)`` int64 recency stamps from a monotonically
-    increasing per-cache clock; the eviction victim is the valid way
-    with the smallest stamp, which is exactly the tail of the reference
-    implementation's MRU-first list.
+    int64 recency stamps from a monotonically increasing per-slot
+    ``clock``; the eviction victim is the valid way with the smallest
+    stamp, which is exactly the tail of the reference implementation's
+    MRU-first list.
+
+plus a stats row per slot: hits, misses, evictions, writebacks,
+invalidations, flushes, and the valid and dirty line counts.  The
+kernels update the rows of the slots they touch in place, so a kernel
+call neither creates nor resumes anything on the Python side.
+:class:`NativeCache` and :class:`NativeTlb` are views of one slot each
+(a standalone one allocates a private one-slot arena).
 
 The kernels implement bit-for-bit the semantics of
 :class:`repro.arch.cache.SetAssocCache` (hit/miss, LRU victim choice,
@@ -55,11 +65,12 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.cache import CacheStats, primed_lines_for_set
+from repro.arch.tlb import TlbStats
 from repro.config import CacheConfig
 
 _C_SOURCE = r"""
@@ -70,19 +81,36 @@ typedef int32_t i32;
 typedef int8_t  i8;
 typedef uint64_t u64;
 
+/* Per-slot stats rows.  Row c of a state arena is stats[8c..8c+7] =
+ * {hits, misses, evictions, writebacks, invalidations, flushes, valid
+ * lines, dirty lines}.  The kernels add their hits, misses, evictions
+ * and writebacks to the row of every cache and TLB they touch and keep
+ * its occupancy current: every miss fills one way and every eviction
+ * frees one, and `dirtied` counts clean->dirty transitions plus dirty
+ * fills, so the purge models never have to scan the matrices.  A TLB
+ * row uses only the hit and miss columns (and flushes, kept by Python). */
+
+static inline void add_stats(i64 *stats, i64 c, i64 hits, i64 misses,
+                             i64 evictions, i64 writebacks, i64 dirtied)
+{
+    stats[8 * c + 0] += hits;
+    stats[8 * c + 1] += misses;
+    stats[8 * c + 2] += evictions;
+    stats[8 * c + 3] += writebacks;
+    stats[8 * c + 6] += misses - evictions;
+    stats[8 * c + 7] += dirtied - writebacks;
+}
+
+static inline void add_tlb_stats(i64 *stats, i64 c, i64 lookups, i64 misses)
+{
+    stats[8 * c + 0] += lookups - misses;
+    stats[8 * c + 1] += misses;
+}
+
 /* LRU set-associative cache access over tag/dirty/age matrices.
  * tags[set*assoc + way] == -1 marks an empty way.  On a hit the age is
  * restamped; on a miss the first empty way (or the minimum-age victim)
- * is (re)filled.
- *
- * Kernels report per-cache stats deltas, among them `dirtied`: clean->
- * dirty transitions plus dirty fills, so the caller can maintain the
- * cache's dirty-line occupancy incrementally (dirty_delta = dirtied -
- * writebacks) and the purge models never have to scan the matrices.
- *
- * l1_filter: records the indices of missing events in miss_pos and
- * returns how many there were; stats_out = {evictions, writebacks,
- * dirtied}. */
+ * is (re)filled.  Returns 1 on a hit. */
 
 static inline i64 do_access(i64 line, i8 w,
                             i64 *tags, i8 *dirty, i64 *age,
@@ -118,10 +146,14 @@ static inline i64 do_access(i64 line, i8 w,
     return 0;
 }
 
+/* l1_filter: one cache over n events; records the indices of missing
+ * events in miss_pos, returns how many there were and adds the call's
+ * counters to the cache's stats row. */
+
 i64 l1_filter(i64 n, const i64 *lines, const i8 *writes,
               i64 *tags, i8 *dirty, i64 *age, i64 *clock_io,
               i64 set_mask, i64 assoc,
-              i64 *miss_pos, i64 *stats_out)
+              i64 *miss_pos, i64 *stats)
 {
     i64 clock = *clock_io, n_miss = 0, evictions = 0, writebacks = 0;
     i64 dirtied = 0;
@@ -131,24 +163,22 @@ i64 l1_filter(i64 n, const i64 *lines, const i8 *writes,
             miss_pos[n_miss++] = k;
     }
     *clock_io = clock;
-    stats_out[0] = evictions;
-    stats_out[1] = writebacks;
-    stats_out[2] = dirtied;
+    add_stats(stats, 0, n - n_miss, n_miss, evictions, writebacks, dirtied);
     return n_miss;
 }
 
 /* Multi-slice variant: one call services a home-sorted miss stream.
  * Part p covers stream positions [bounds[p], bounds[p+1]) and replays
  * through the slice whose state buffers are at tags_ptrs[p]/
- * dirty_ptrs[p]/age_ptrs[p]/clock_ptrs[p] (raw addresses, one entry
- * per part).  flags[k] is 1 on a hit; per part, stats4[4p..4p+3] =
- * {evictions, writebacks, hits, dirtied}. */
+ * dirty_ptrs[p]/age_ptrs[p]/clock_ptrs[p] and whose stats row is at
+ * stats_ptrs[p] (raw addresses, one entry per part).  flags[k] is 1 on
+ * a hit. */
 
 void l2_flags_multi(i64 n_parts, const i64 *bounds,
                     const i64 *tags_ptrs, const i64 *dirty_ptrs,
                     const i64 *age_ptrs, const i64 *clock_ptrs,
                     const i64 *lines, const i8 *writes,
-                    i64 set_mask, i64 assoc, i8 *flags, i64 *stats4)
+                    i64 set_mask, i64 assoc, i8 *flags, const i64 *stats_ptrs)
 {
     for (i64 p = 0; p < n_parts; p++) {
         i64 *clock_io = (i64 *)clock_ptrs[p];
@@ -162,15 +192,14 @@ void l2_flags_multi(i64 n_parts, const i64 *bounds,
             hits += flags[k];
         }
         *clock_io = clock;
-        stats4[4 * p + 0] = evictions;
-        stats4[4 * p + 1] = writebacks;
-        stats4[4 * p + 2] = hits;
-        stats4[4 * p + 3] = dirtied;
+        add_stats((i64 *)stats_ptrs[p], 0, hits, bounds[p + 1] - bounds[p] - hits,
+                  evictions, writebacks, dirtied);
     }
 }
 
 /* Fully-associative LRU TLB over page-change events.  entries/age are
- * capacity-sized arrays (-1 = empty).  tlb_one returns 1 on a miss. */
+ * capacity-sized arrays (-1 = empty).  tlb_one returns 1 on a miss;
+ * tlb_misses adds its lookups to the TLB's stats row. */
 static inline i64 tlb_one(i64 page, i64 *entries, i64 *age,
                           i64 *clock, i64 capacity)
 {
@@ -197,12 +226,14 @@ static inline i64 tlb_one(i64 page, i64 *entries, i64 *age,
 }
 
 i64 tlb_misses(i64 n, const i64 *pages,
-               i64 *entries, i64 *age, i64 *clock_io, i64 capacity)
+               i64 *entries, i64 *age, i64 *clock_io, i64 capacity,
+               i64 *stats)
 {
     i64 clock = *clock_io, misses = 0;
     for (i64 k = 0; k < n; k++)
         misses += tlb_one(pages[k], entries, age, &clock, capacity);
     *clock_io = clock;
+    add_tlb_stats(stats, 0, n, misses);
     return misses;
 }
 
@@ -262,171 +293,131 @@ i64 first_touch(i64 n, const i64 *keys, const i64 *pages,
     return n_uniq;
 }
 
-static inline void add_stats(i64 *cache_out, i64 c, i64 hits, i64 misses,
-                             i64 evictions, i64 writebacks, i64 dirtied)
-{
-    cache_out[5 * c + 0] += hits;
-    cache_out[5 * c + 1] += misses;
-    cache_out[5 * c + 2] += evictions;
-    cache_out[5 * c + 3] += writebacks;
-    cache_out[5 * c + 4] += dirtied;
-}
-
-/* replay_events: the scalar oracle's per-event rule over segments
- * [state[0], n_seg) of an epoch.  Segment s covers events
- * [seg_ev[s], seg_ev[s+1]) and replays through the private L1 and TLB
- * of core seg_info[2s] under context group seg_info[2s+1].  Per event:
- * the TLB on a page change (the current page resets at each segment
- * start), the core's L1, on an L1 miss the home slice's L2, then the
- * cost and replica first-touch rule.
+/* replay_events: the scalar oracle's per-event rule over the segments
+ * of an epoch.  Segment s covers events [seg_ev[s], seg_ev[s+1]) and
+ * replays through the private L1 and TLB of core seg_info[2s] under
+ * context group seg_info[2s+1].  Per event: the TLB on a page change
+ * (the current page resets at each segment start), the core's L1, on an
+ * L1 miss the home slice's L2, then the cost and replica first-touch
+ * rule.
  *
+ * All cache and TLB state lives in one state arena of 3 n_tiles slots:
+ * slot `core` is a core's L1, slot n_tiles + tile an L2 slice and slot
+ * 2 n_tiles + core a core's TLB.  cache_tab[4c..4c+3] = {tags, dirty,
+ * age, clock} addresses of slot c (a TLB's entries are its tags), and
+ * the kernel updates the slot's stats row (see add_stats) in place.
  * geom = {l1 set mask, l1 assoc, l2 set mask, l2 assoc, tlb entries,
- * n_tiles, n_mc}.  Cache slot c has its {tags, dirty, age, clock}
- * addresses at cache_tab[4c..4c+3]: slot `core` is a core's L1, slot
- * n_tiles + tile an L2 slice (0 while the slice does not exist yet).
- * tlb_tab[3 core..] = {entries, age, clock} of a core's TLB.
- * group_tab[3g..] = {cluster-average core distance per tile (double*),
- * controller distance per (tile, controller) (double*), replica table
- * or -1}; rep_tab[2r..] = {key set (i64*), mask}.  lat = {2 * hop,
- * L2 hit latency, DRAM + controller latency, TLB walk}.
+ * n_tiles, n_mc}.  group_tab[3g..] = {cluster-average core distance per
+ * tile (double*), controller distance per (tile, controller) (double*),
+ * replica table or -1}; rep_tab[2r..] = {key set (i64*), mask}.  lat =
+ * {2 * hop, L2 hit latency, DRAM + controller latency, TLB walk}.
  *
  * Outputs accumulate: seg_out[6s..] = {tlb misses, l1 misses, l1
  * writebacks, l2 hits, l2 misses, l2 writebacks}, mem_out[s] in cycles,
- * mc_out[n_mc s + mc] requests, cache_out[5 slot..] = {hits, misses,
- * evictions, writebacks, dirtied} where slot 2 n_tiles + core holds a
- * TLB's lookups.  new_lines[2k..] = {replica table, line} for each line
- * newly replicated; state[4] counts them.
- *
- * Returns -1 when done.  At the first L1 miss whose home slice does not
- * exist it returns that tile with state = {segment, event, 1, current
- * page, n_new}; the caller creates the slice, fills its cache_tab slot
- * and calls again to resume at that event's L2 step. */
+ * mc_out[n_mc s + mc] requests.  new_lines[2k..] = {replica table, line}
+ * for each line newly replicated; returns how many there were. */
 
 i64 replay_events(i64 n_seg, const i64 *seg_ev, const i64 *seg_info,
                   const i64 *vpages, const i8 *writes, const i64 *plines,
                   const i32 *homes, const i32 *mcs,
-                  const i64 *cache_tab, const i64 *tlb_tab, const i64 *geom,
+                  const i64 *cache_tab, i64 *stats, const i64 *geom,
                   const i64 *group_tab, const i64 *rep_tab,
-                  const double *lat, i64 *state,
+                  const double *lat,
                   i64 *seg_out, double *mem_out, i64 *mc_out,
-                  i64 *cache_out, i64 *new_lines)
+                  i64 *new_lines)
 {
     const i64 l1_mask = geom[0], l1_assoc = geom[1];
     const i64 l2_mask = geom[2], l2_assoc = geom[3];
     const i64 tlb_cap = geom[4], n_tiles = geom[5], n_mc = geom[6];
     const double hop2 = lat[0], l2_lat = lat[1], dram_lat = lat[2];
     const double walk = lat[3], replica_cost = hop2 + l2_lat;
-    i64 s = state[0], e = state[1], at_l2 = state[2], cur_page = state[3];
-    i64 n_new = state[4];
+    i64 n_new = 0;
 
-    for (; s < n_seg; s++) {
+    for (i64 s = 0; s < n_seg; s++) {
         const i64 e_end = seg_ev[s + 1];
-        if (e < e_end) {
-            const i64 core = seg_info[2 * s], g = seg_info[2 * s + 1];
-            const i64 *l1 = cache_tab + 4 * core;
-            i64 *l1_tags = (i64 *)l1[0], *l1_age = (i64 *)l1[2];
-            i8 *l1_dirty = (i8 *)l1[1];
-            i64 *l1_clock_io = (i64 *)l1[3], l1_clock = *l1_clock_io;
-            const i64 *tlb = tlb_tab + 3 * core;
-            i64 *tlb_entries = (i64 *)tlb[0], *tlb_age = (i64 *)tlb[1];
-            i64 *tlb_clock_io = (i64 *)tlb[2], tlb_clock = *tlb_clock_io;
-            const double *d_core = (const double *)group_tab[3 * g];
-            const double *d_mc = (const double *)group_tab[3 * g + 1];
-            const i64 rep = group_tab[3 * g + 2];
-            i64 *rep_keys = rep >= 0 ? (i64 *)rep_tab[2 * rep] : 0;
-            const i64 rep_mask = rep >= 0 ? rep_tab[2 * rep + 1] : 0;
-            i64 tlb_look = 0, tlb_miss = 0, l1_hit = 0, l1_miss = 0;
-            i64 l1_ev = 0, l1_wb = 0, l1_dirtied = 0;
-            i64 l2_hit = 0, l2_miss = 0, l2_wb = 0, missing = -1;
-            double mem = 0.0;
+        if (seg_ev[s] == e_end)
+            continue;
+        const i64 core = seg_info[2 * s], g = seg_info[2 * s + 1];
+        const i64 tlb_slot = 2 * n_tiles + core;
+        const i64 *l1 = cache_tab + 4 * core;
+        i64 *l1_tags = (i64 *)l1[0], *l1_age = (i64 *)l1[2];
+        i8 *l1_dirty = (i8 *)l1[1];
+        i64 *l1_clock_io = (i64 *)l1[3], l1_clock = *l1_clock_io;
+        const i64 *tlb = cache_tab + 4 * tlb_slot;
+        i64 *tlb_entries = (i64 *)tlb[0], *tlb_age = (i64 *)tlb[2];
+        i64 *tlb_clock_io = (i64 *)tlb[3], tlb_clock = *tlb_clock_io;
+        const double *d_core = (const double *)group_tab[3 * g];
+        const double *d_mc = (const double *)group_tab[3 * g + 1];
+        const i64 rep = group_tab[3 * g + 2];
+        i64 *rep_keys = rep >= 0 ? (i64 *)rep_tab[2 * rep] : 0;
+        const i64 rep_mask = rep >= 0 ? rep_tab[2 * rep + 1] : 0;
+        i64 tlb_look = 0, tlb_miss = 0, l1_hit = 0, l1_miss = 0;
+        i64 l1_ev = 0, l1_wb = 0, l1_dirtied = 0;
+        i64 l2_hit = 0, l2_miss = 0, l2_wb = 0, cur_page = -1;
+        double mem = 0.0;
 
-            for (; e < e_end; e++) {
-                const i64 line = plines[e];
-                const i8 w = writes[e];
-                if (at_l2) {
-                    at_l2 = 0;
-                } else {
-                    if (vpages[e] != cur_page) {
-                        cur_page = vpages[e];
-                        tlb_look++;
-                        if (tlb_one(cur_page, tlb_entries, tlb_age,
-                                    &tlb_clock, tlb_cap)) {
-                            tlb_miss++;
-                            mem += walk;
-                        }
-                    }
-                    if (do_access(line, w, l1_tags, l1_dirty, l1_age,
-                                  &l1_clock, l1_mask, l1_assoc,
-                                  &l1_ev, &l1_wb, &l1_dirtied)) {
-                        l1_hit++;
-                        continue;
-                    }
-                    l1_miss++;
-                }
-                const i64 home = homes[e];
-                const i64 *l2 = cache_tab + 4 * (n_tiles + home);
-                if (!l2[0]) {
-                    missing = home;
-                    break;
-                }
-                i64 ev = 0, wb = 0, dirtied = 0;
-                const i64 hit = do_access(line, w, (i64 *)l2[0], (i8 *)l2[1],
-                                          (i64 *)l2[2], (i64 *)l2[3],
-                                          l2_mask, l2_assoc,
-                                          &ev, &wb, &dirtied);
-                add_stats(cache_out, n_tiles + home, hit, 1 - hit,
-                          ev, wb, dirtied);
-                l2_wb += wb;
-                const double request = hop2 * d_core[home] + l2_lat;
-                if (hit) {
-                    l2_hit++;
-                    if (!rep_keys) {
-                        mem += request;
-                    } else if (set_insert(rep_keys, rep_mask, line)) {
-                        mem += replica_cost;
-                    } else {
-                        new_lines[2 * n_new] = rep;
-                        new_lines[2 * n_new + 1] = line;
-                        n_new++;
-                        mem += request;
-                    }
-                } else {
-                    const i64 mc = mcs[e];
-                    l2_miss++;
-                    mem += request;
-                    mem += hop2 * d_mc[home * n_mc + mc] + dram_lat;
-                    mc_out[n_mc * s + mc]++;
+        for (i64 e = seg_ev[s]; e < e_end; e++) {
+            const i64 line = plines[e];
+            const i8 w = writes[e];
+            if (vpages[e] != cur_page) {
+                cur_page = vpages[e];
+                tlb_look++;
+                if (tlb_one(cur_page, tlb_entries, tlb_age, &tlb_clock,
+                            tlb_cap)) {
+                    tlb_miss++;
+                    mem += walk;
                 }
             }
-
-            seg_out[6 * s + 0] += tlb_miss;
-            seg_out[6 * s + 1] += l1_miss;
-            seg_out[6 * s + 2] += l1_wb;
-            seg_out[6 * s + 3] += l2_hit;
-            seg_out[6 * s + 4] += l2_miss;
-            seg_out[6 * s + 5] += l2_wb;
-            mem_out[s] += mem;
-            add_stats(cache_out, core, l1_hit, l1_miss,
-                      l1_ev, l1_wb, l1_dirtied);
-            add_stats(cache_out, 2 * n_tiles + core, tlb_look - tlb_miss,
-                      tlb_miss, 0, 0, 0);
-            *l1_clock_io = l1_clock;
-            *tlb_clock_io = tlb_clock;
-            if (missing >= 0) {
-                state[0] = s;
-                state[1] = e;
-                state[2] = 1;
-                state[3] = cur_page;
-                state[4] = n_new;
-                return missing;
+            if (do_access(line, w, l1_tags, l1_dirty, l1_age, &l1_clock,
+                          l1_mask, l1_assoc, &l1_ev, &l1_wb, &l1_dirtied)) {
+                l1_hit++;
+                continue;
+            }
+            l1_miss++;
+            const i64 home = homes[e];
+            const i64 *l2 = cache_tab + 4 * (n_tiles + home);
+            i64 ev = 0, wb = 0, dirtied = 0;
+            const i64 hit = do_access(line, w, (i64 *)l2[0], (i8 *)l2[1],
+                                      (i64 *)l2[2], (i64 *)l2[3],
+                                      l2_mask, l2_assoc,
+                                      &ev, &wb, &dirtied);
+            add_stats(stats, n_tiles + home, hit, 1 - hit, ev, wb, dirtied);
+            l2_wb += wb;
+            const double request = hop2 * d_core[home] + l2_lat;
+            if (hit) {
+                l2_hit++;
+                if (!rep_keys) {
+                    mem += request;
+                } else if (set_insert(rep_keys, rep_mask, line)) {
+                    mem += replica_cost;
+                } else {
+                    new_lines[2 * n_new] = rep;
+                    new_lines[2 * n_new + 1] = line;
+                    n_new++;
+                    mem += request;
+                }
+            } else {
+                const i64 mc = mcs[e];
+                l2_miss++;
+                mem += request;
+                mem += hop2 * d_mc[home * n_mc + mc] + dram_lat;
+                mc_out[n_mc * s + mc]++;
             }
         }
-        e = seg_ev[s + 1];
-        cur_page = -1;
+
+        seg_out[6 * s + 0] += tlb_miss;
+        seg_out[6 * s + 1] += l1_miss;
+        seg_out[6 * s + 2] += l1_wb;
+        seg_out[6 * s + 3] += l2_hit;
+        seg_out[6 * s + 4] += l2_miss;
+        seg_out[6 * s + 5] += l2_wb;
+        mem_out[s] += mem;
+        add_stats(stats, core, l1_hit, l1_miss, l1_ev, l1_wb, l1_dirtied);
+        add_tlb_stats(stats, tlb_slot, tlb_look, tlb_miss);
+        *l1_clock_io = l1_clock;
+        *tlb_clock_io = tlb_clock;
     }
-    state[0] = n_seg;
-    state[4] = n_new;
-    return -1;
+    return n_new;
 }
 """
 
@@ -517,7 +508,7 @@ def _load() -> Optional[ctypes.CDLL]:
         i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr
     ]
     lib.tlb_misses.restype = i64
-    lib.tlb_misses.argtypes = [i64, ptr, ptr, ptr, ptr, i64]
+    lib.tlb_misses.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr]
     lib.set_fill.restype = None
     lib.set_fill.argtypes = [i64, ptr, ptr, i64]
     lib.first_touch.restype = i64
@@ -525,7 +516,7 @@ def _load() -> Optional[ctypes.CDLL]:
     lib.replay_events.restype = i64
     lib.replay_events.argtypes = [
         i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-        ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+        ptr, ptr, ptr, ptr, ptr,
     ]
     return lib
 
@@ -566,14 +557,128 @@ def load_native() -> Optional[ctypes.CDLL]:
     return _lib
 
 
-class NativeCache:
-    """Matrix-backed LRU cache serviced by the compiled batch kernels.
+#: Columns of a slot's stats row (see ``add_stats`` in the C source).
+HITS, MISSES, EVICTIONS, WRITEBACKS, INVALIDATIONS, FLUSHES, VALID, DIRTY = range(8)
 
-    API-compatible with :class:`repro.arch.cache.SetAssocCache`; see
-    the module docstring for the state layout.
+
+class StateArena:
+    """The replay state of a fixed set of caches and TLBs.
+
+    Slot ``c`` owns entries ``[offsets[c], offsets[c+1])`` of ``tags``,
+    ``dirty`` and ``age`` — a cache's flattened ``(n_sets, assoc)``
+    matrices, or a TLB's entries and stamps (a TLB leaves its ``dirty``
+    range unused) — plus ``clock[c]`` and the stats row ``stats[c]``
+    (columns :data:`HITS` .. :data:`DIRTY`).  ``cache_tab[4c..4c+3]``
+    holds slot ``c``'s {tags, dirty, age, clock} addresses.  Everything
+    is allocated once, so the addresses never change and the kernels
+    update the rows in place.
     """
 
-    def __init__(self, config: CacheConfig, name: str = "ncache"):
+    def __init__(self, ways: Sequence[int]):
+        n_slots = len(ways)
+        offsets = np.zeros(n_slots + 1, dtype=np.int64)
+        np.cumsum(ways, out=offsets[1:])
+        self.offsets = offsets.tolist()
+        total = self.offsets[-1]
+        self.tags = np.full(total, -1, dtype=np.int64)
+        self.dirty = np.zeros(total, dtype=np.int8)
+        self.age = np.zeros(total, dtype=np.int64)
+        self.clock = np.zeros(n_slots, dtype=np.int64)
+        stats = np.zeros(8 * n_slots, dtype=np.int64)
+        self.stats = stats.reshape(-1, 8)
+        self.stats_ptr = stats.ctypes.data
+        self._base = (
+            self.tags.ctypes.data, self.dirty.ctypes.data,
+            self.age.ctypes.data, self.clock.ctypes.data,
+        )
+        tags, dirty, age, clock = self._base
+        first = offsets[:-1]
+        self.cache_tab = np.stack([
+            tags + 8 * first, dirty + first, age + 8 * first,
+            clock + 8 * np.arange(n_slots, dtype=np.int64),
+        ], axis=1).ravel()
+        self.tab_ptr = self.cache_tab.ctypes.data
+        # Single-event buffers the views' access() calls share: {line or
+        # page, miss position} and the write flag.
+        self.one = np.zeros(2, dtype=np.int64)
+        self.one_write = np.zeros(1, dtype=np.int8)
+        self.one_ptrs = (self.one.ctypes.data, self.one_write.ctypes.data)
+
+    def slot(self, c: int, ways: int) -> Tuple[slice, Tuple[int, ...], int]:
+        """Slot ``c``'s entry range, its ``cache_tab`` row and stats row address."""
+        a, b = self.offsets[c], self.offsets[c + 1]
+        if b - a != ways:
+            raise ValueError(f"arena slot {c} holds {b - a} entries, not {ways}")
+        tags, dirty, age, clock = self._base
+        return slice(a, b), (tags + 8 * a, dirty + a, age + 8 * a, clock + 8 * c), (
+            self.stats_ptr + 64 * c
+        )
+
+
+def _column(c: int) -> property:
+    """A stats field served from column ``c`` of a slot's stats row."""
+
+    def get(self) -> int:
+        return self._row[c]
+
+    def set(self, value: int) -> None:
+        self._row[c] = value
+
+    return property(get, set)
+
+
+class _RowCacheStats(CacheStats):
+    """A view's :class:`~repro.arch.cache.CacheStats`, live on its stats row.
+
+    Equal to any ``CacheStats`` with the same counts; ``snapshot`` and
+    ``delta`` return plain ``CacheStats``.
+    """
+
+    hits, misses, evictions, writebacks, invalidations, flushes = map(_column, range(6))
+
+    def __init__(self, row: memoryview):
+        self._row = row
+
+    def snapshot(self) -> CacheStats:
+        return CacheStats(*self._row[:6].tolist())
+
+    def delta(self, earlier: CacheStats) -> CacheStats:
+        return self.snapshot().delta(earlier)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CacheStats):
+            return NotImplemented
+        return self.snapshot() == other.snapshot()
+
+
+class _RowTlbStats(TlbStats):
+    """A TLB view's :class:`~repro.arch.tlb.TlbStats`, live on its stats row."""
+
+    hits, misses, flushes = map(_column, (HITS, MISSES, FLUSHES))
+
+    def __init__(self, row: memoryview):
+        self._row = row
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TlbStats):
+            return NotImplemented
+        fields = ("hits", "misses", "flushes")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+
+class NativeCache:
+    """Matrix-backed LRU cache serviced by the compiled kernels.
+
+    API-compatible with :class:`repro.arch.cache.SetAssocCache`; see
+    the module docstring for the state layout.  The cache is a view of
+    slot ``slot`` of a :class:`StateArena`; without one it allocates a
+    private one-slot arena.  ``stats`` reads and writes the slot's row.
+    """
+
+    def __init__(
+        self, config: CacheConfig, name: str = "ncache",
+        arena: Optional[StateArena] = None, slot: int = 0,
+    ):
         lib = load_native()
         if lib is None:  # pragma: no cover - guarded by factory
             raise RuntimeError("native kernels unavailable")
@@ -583,65 +688,36 @@ class NativeCache:
         self.n_sets = config.n_sets
         self.assoc = config.associativity
         self._set_mask = self.n_sets - 1
-        self.tags = np.full(self.n_sets * self.assoc, -1, dtype=np.int64)
-        self.dirty = np.zeros(self.n_sets * self.assoc, dtype=np.int8)
-        self.age = np.zeros(self.n_sets * self.assoc, dtype=np.int64)
-        self._clock = np.zeros(1, dtype=np.int64)
-        # {evictions, writebacks, dirtied} as reported per batch.
-        self._stats_out = np.zeros(3, dtype=np.int64)
-        # Occupancy counters, maintained from the kernels' stats so the
-        # purge models never scan the matrices.
-        self._valid_count = 0
-        self._dirty_count = 0
-        self.stats = CacheStats()
-        # The state buffers are never reallocated (fill() mutates in
-        # place), so their raw addresses can be cached once.
-        self._state_ptrs = (
-            self.tags.ctypes.data, self.dirty.ctypes.data,
-            self.age.ctypes.data, self._clock.ctypes.data,
-        )
-        self._stats_ptr = self._stats_out.ctypes.data
-        # Single-event buffers for the scalar access() path, likewise
-        # never reallocated: the whole l1_filter argument tail after the
-        # event count is built once.
-        self._one_line = np.zeros(1, dtype=np.int64)
-        self._one_write = np.zeros(1, dtype=np.int8)
-        self._one_out = np.zeros(1, dtype=np.int64)
+        ways = self.n_sets * self.assoc
+        if arena is None:
+            arena = StateArena([ways])
+        # Holds the buffers the cached addresses below point into.
+        self._arena = arena
+        span, self._state_ptrs, self._stats_ptr = arena.slot(slot, ways)
+        self.tags = arena.tags[span]
+        self.dirty = arena.dirty[span]
+        self.age = arena.age[span]
+        # The stats row as a memoryview: its items read and write as
+        # Python ints, several times faster than NumPy scalars.
+        self._st = memoryview(arena.stats[slot])
+        self.stats = _RowCacheStats(self._st)
+        # The whole l1_filter argument tail of the single-event access()
+        # after the event count, built once.
+        one, one_write = arena.one_ptrs
+        self._one = arena.one
+        self._one_write = arena.one_write
         self._one_args = (
-            self._one_line.ctypes.data, self._one_write.ctypes.data,
-            *self._state_ptrs, self._set_mask, self.assoc,
-            self._one_out.ctypes.data, self._stats_ptr,
+            one, one_write, *self._state_ptrs,
+            self._set_mask, self.assoc, one + 8, self._stats_ptr,
         )
-
-    # ------------------------------------------------------------------
-    # Kernel stats
-    # ------------------------------------------------------------------
-    def _fold(
-        self, hits: int, misses: int, evictions: int, writebacks: int, dirtied: int
-    ) -> None:
-        """Fold one kernel call's stats deltas into stats + occupancy.
-
-        Every miss fills one way and every eviction frees one, so the
-        valid delta is ``misses - evictions``; the dirty delta is
-        ``dirtied - writebacks`` (see the C source).
-        """
-        st = self.stats
-        st.hits += hits
-        st.misses += misses
-        st.evictions += evictions
-        st.writebacks += writebacks
-        self._valid_count += misses - evictions
-        self._dirty_count += dirtied - writebacks
 
     # ------------------------------------------------------------------
     # SetAssocCache-compatible scalar API
     # ------------------------------------------------------------------
     def access(self, line_id: int, is_write: bool) -> bool:
-        self._one_line[0] = line_id
+        self._one[0] = line_id
         self._one_write[0] = 1 if is_write else 0
-        n_miss = self._lib.l1_filter(1, *self._one_args)
-        self._fold(1 - n_miss, n_miss, *self._stats_out.tolist())
-        return n_miss == 0
+        return self._lib.l1_filter(1, *self._one_args) == 0
 
     def _row(self, set_index: int) -> slice:
         base = set_index * self.assoc
@@ -652,13 +728,13 @@ class NativeCache:
 
     @property
     def valid_lines(self) -> int:
-        """Resident line count (incrementally tracked, O(1))."""
-        return self._valid_count
+        """Resident line count (kept in the stats row, O(1))."""
+        return self._st[VALID]
 
     @property
     def dirty_lines(self) -> int:
-        """Modified-line count (incrementally tracked, O(1))."""
-        return self._dirty_count
+        """Modified-line count (kept in the stats row, O(1))."""
+        return self._st[DIRTY]
 
     def resident_lines(self) -> List[int]:
         """All line ids currently cached, per set MRU-first."""
@@ -670,32 +746,32 @@ class NativeCache:
     def invalidate_all(self) -> Tuple[int, int]:
         """Flush-and-invalidate; returns (valid, dirty) line counts.
 
-        Counts come from the occupancy counters; an already-empty cache
+        Counts come from the occupancy columns; an already-empty cache
         skips the matrix resets entirely.
         """
-        valid = self._valid_count
-        dirty = self._dirty_count
+        st = self._st
+        valid, dirty = st[VALID], st[DIRTY]
         if valid:
             self.tags.fill(-1)
             self.dirty.fill(0)
             self.age.fill(0)
-        self._valid_count = 0
-        self._dirty_count = 0
-        self.stats.invalidations += valid
-        self.stats.flushes += 1
-        self.stats.writebacks += dirty
+        st[WRITEBACKS] += dirty
+        st[INVALIDATIONS] += valid
+        st[FLUSHES] += 1
+        st[VALID] = st[DIRTY] = 0
         return valid, dirty
 
     def clean_all(self) -> int:
         """Write back all dirty lines without invalidating; returns count.
 
-        A clean cache returns immediately off the occupancy counter.
+        A clean cache returns immediately off the occupancy column.
         """
-        dirty = self._dirty_count
+        st = self._st
+        dirty = st[DIRTY]
         if dirty:
             self.dirty.fill(0)
-            self._dirty_count = 0
-        self.stats.writebacks += dirty
+            st[DIRTY] = 0
+            st[WRITEBACKS] += dirty
         return dirty
 
     def evict_line(self, line_id: int) -> bool:
@@ -704,14 +780,15 @@ class NativeCache:
         if not len(ways):
             return False
         way = (line_id & self._set_mask) * self.assoc + int(ways[0])
+        st = self._st
         if self.dirty[way]:
-            self.stats.writebacks += 1
-            self._dirty_count -= 1
+            st[WRITEBACKS] += 1
+            st[DIRTY] -= 1
         self.tags[way] = -1
         self.dirty[way] = 0
         self.age[way] = 0
-        self.stats.evictions += 1
-        self._valid_count -= 1
+        st[EVICTIONS] += 1
+        st[VALID] -= 1
         return True
 
     def evict_line_range(self, base_line: int, count: int) -> int:
@@ -722,7 +799,8 @@ class NativeCache:
         identical stats, occupancy and final contents.  Used by the
         page re-homing / migration path (one frame per call).
         """
-        if self._valid_count == 0:
+        st = self._st
+        if not st[VALID]:
             return 0
         lines = np.arange(base_line, base_line + count, dtype=np.int64)
         sets = lines & self._set_mask
@@ -736,10 +814,10 @@ class NativeCache:
         self.tags[idx] = -1
         self.dirty[idx] = 0
         self.age[idx] = 0
-        self.stats.evictions += evicted
-        self.stats.writebacks += wbs
-        self._valid_count -= evicted
-        self._dirty_count -= wbs
+        st[EVICTIONS] += evicted
+        st[WRITEBACKS] += wbs
+        st[VALID] -= evicted
+        st[DIRTY] -= wbs
         return evicted
 
     def fill_set(self, set_index: int, tag_base: int) -> List[int]:
@@ -771,38 +849,29 @@ def multi_slice_flags_wb(
     bounds: "list[int]",
     lines_sorted: np.ndarray,
     writes_sorted: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One ``l2_flags_multi`` kernel call over a home-sorted stream.
 
     ``caches[p]`` services stream positions ``[bounds[p], bounds[p+1])``
-    (all caches must share one geometry).  Folds each part's stats and
-    occupancy deltas into its cache and returns ``(hit_flags,
-    stats4)``, the latter being the raw per-part ``{evictions,
-    writebacks, hits, dirtied}`` counters for callers that aggregate
-    per-window numbers themselves.  No replay path calls it; it stays
-    because the perfbench tracer looks it up by name when it installs.
+    (all caches must share one geometry); the kernel updates each
+    cache's stats row.  Returns the per-position hit flags.  No replay
+    path calls it; it stays because the perfbench tracer looks it up by
+    name when it installs.
     """
     n_parts = len(caches)
     first = caches[0]
     ptrs = np.asarray([c._state_ptrs for c in caches], dtype=np.int64).T.copy()
+    stats_ptrs = np.asarray([c._stats_ptr for c in caches], dtype=np.int64)
     bounds_arr = np.asarray(bounds, dtype=np.int64)
     lines_sorted = np.ascontiguousarray(lines_sorted, dtype=np.int64)
     writes_sorted = np.ascontiguousarray(writes_sorted, dtype=np.int8)
     flags = np.empty(len(lines_sorted), dtype=np.int8)
-    stats4 = np.empty(4 * n_parts, dtype=np.int64)
     first._lib.l2_flags_multi(
         n_parts, bounds_arr.ctypes.data, *(row.ctypes.data for row in ptrs),
         lines_sorted.ctypes.data, writes_sorted.ctypes.data,
-        first._set_mask, first.assoc, flags.ctypes.data, stats4.ctypes.data,
+        first._set_mask, first.assoc, flags.ctypes.data, stats_ptrs.ctypes.data,
     )
-    for p, cache in enumerate(caches):
-        hits = int(stats4[4 * p + 2])
-        n_p = int(bounds_arr[p + 1] - bounds_arr[p])
-        cache._fold(
-            hits, n_p - hits, int(stats4[4 * p + 0]), int(stats4[4 * p + 1]),
-            int(stats4[4 * p + 3]),
-        )
-    return flags, stats4
+    return flags
 
 
 def _key_table(n: int) -> np.ndarray:
@@ -834,24 +903,22 @@ def replay_events(
     seg_ev: np.ndarray,
     seg_info: np.ndarray,
     events: Tuple[np.ndarray, ...],
-    tables: Tuple[np.ndarray, ...],
+    tables: Tuple[object, np.ndarray, np.ndarray],
     group_tab: np.ndarray,
     rep_sets: "list[set]",
-    make_l2: Callable[[int], object],
 ) -> Tuple[np.ndarray, ...]:
     """Replay segments through the fused ``replay_events`` kernel.
 
     The arguments are those of the C kernel (see its comment), with
     ``events`` = ``(vpages, writes, plines, homes, mcs)``, ``tables`` =
-    the hierarchy's ``(cache_tab, tlb_tab, geom, lat)`` and
+    the hierarchy's ``(arena, geom, lat)`` — a :class:`StateArena` of
+    ``3 * n_tiles`` slots whose stats rows the kernel updates — and
     ``rep_sets`` the replica sets that ``group_tab`` rows index; the
-    lines the call newly replicates are added to them.
-    ``make_l2(tile)`` creates a missing slice and fills its
-    ``cache_tab`` slot, then the kernel resumes.  Returns ``(seg_out,
-    mem_out, mc_out, cache_out)``, strided outputs as rows.
+    lines the call newly replicates are added to them.  Returns
+    ``(seg_out, mem_out, mc_out)``, strided outputs as rows.
     """
     lib = load_native()
-    cache_tab, tlb_tab, geom, lat = tables
+    arena, geom, lat = tables
     seg_ev, seg_info, vpages, writes, plines, homes, mcs = (
         np.ascontiguousarray(a, dtype=t) for a, t in zip(
             (seg_ev, seg_info, *events),
@@ -863,6 +930,8 @@ def replay_events(
         raise ValueError("seg_info or the event arrays do not cover seg_ev")
     n_events = int(seg_ev[-1] - seg_ev[0])
     n_tiles, n_mc = int(geom[5]), int(geom[6])
+    if len(arena.clock) != 3 * n_tiles:
+        raise ValueError(f"the arena does not hold 3 x {n_tiles} slots")
     # A key table only answers membership, so a set's iteration order
     # cannot reach a result.
     rep_keys = []
@@ -875,32 +944,23 @@ def replay_events(
         [v for t in rep_keys for v in (t.ctypes.data, len(t) - 1)] or [0],
         dtype=np.int64,
     )
-    state = np.asarray([0, seg_ev[0], 0, -1, 0], dtype=np.int64)
     seg_out = np.zeros(6 * n_seg, dtype=np.int64)
     mem_out = np.zeros(n_seg, dtype=np.float64)
     mc_out = np.zeros(n_seg * n_mc, dtype=np.int64)
-    cache_out = np.zeros(5 * (3 * n_tiles), dtype=np.int64)
     new_lines = np.empty(2 * (n_events if rep_sets else 1), dtype=np.int64)
-    args = (
+    n_new = lib.replay_events(
         n_seg, seg_ev.ctypes.data, seg_info.ctypes.data,
         vpages.ctypes.data, writes.ctypes.data, plines.ctypes.data,
         homes.ctypes.data, mcs.ctypes.data,
-        cache_tab.ctypes.data, tlb_tab.ctypes.data, geom.ctypes.data,
+        arena.tab_ptr, arena.stats_ptr, geom.ctypes.data,
         group_tab.ctypes.data, rep_tab.ctypes.data, lat.ctypes.data,
-        state.ctypes.data, seg_out.ctypes.data, mem_out.ctypes.data,
-        mc_out.ctypes.data, cache_out.ctypes.data, new_lines.ctypes.data,
+        seg_out.ctypes.data, mem_out.ctypes.data, mc_out.ctypes.data,
+        new_lines.ctypes.data,
     )
-    while (tile := lib.replay_events(*args)) >= 0:
-        make_l2(tile)
-        if not cache_tab[4 * (n_tiles + tile)]:
-            raise RuntimeError(f"make_l2({tile}) left its cache_tab slot empty")
-    new_lines = new_lines[: 2 * int(state[4])].reshape(-1, 2)
+    new_lines = new_lines[: 2 * n_new].reshape(-1, 2)
     for r, replicated in enumerate(rep_sets):
         replicated.update(new_lines[new_lines[:, 0] == r, 1].tolist())
-    return (
-        seg_out.reshape(-1, 6), mem_out, mc_out.reshape(-1, n_mc),
-        cache_out.reshape(-1, 5),
-    )
+    return seg_out.reshape(-1, 6), mem_out, mc_out.reshape(-1, n_mc)
 
 
 class NativeTlb:
@@ -908,44 +968,47 @@ class NativeTlb:
 
     Mirrors :class:`repro.arch.tlb.Tlb` — same hit/miss behaviour, same
     stats — with entry/age arrays instead of an OrderedDict so the fused
-    ``replay_events`` kernel can replay it in place.
+    ``replay_events`` kernel can replay it in place.  Like
+    :class:`NativeCache` it is a view of one :class:`StateArena` slot,
+    private unless ``arena`` is given.
     """
 
-    def __init__(self, config, name: str = "ntlb"):
-        from repro.arch.tlb import TlbStats
-
+    def __init__(
+        self, config, name: str = "ntlb",
+        arena: Optional[StateArena] = None, slot: int = 0,
+    ):
         lib = load_native()
         if lib is None:  # pragma: no cover - guarded by factory
             raise RuntimeError("native kernels unavailable")
         self._lib = lib
         self.config = config
         self.name = name
-        self.entries = np.full(config.entries, -1, dtype=np.int64)
-        self.age = np.zeros(config.entries, dtype=np.int64)
-        self._clock = np.zeros(1, dtype=np.int64)
-        self._ptrs = (
-            self.entries.ctypes.data, self.age.ctypes.data,
-            self._clock.ctypes.data,
-        )
-        self._one = np.zeros(1, dtype=np.int64)
+        if arena is None:
+            arena = StateArena([config.entries])
+        # Holds the buffers the cached addresses below point into.
+        self._arena = arena
+        span, ptrs, stats_ptr = arena.slot(slot, config.entries)
+        self.entries = arena.tags[span]
+        self.age = arena.age[span]
+        self._st = memoryview(arena.stats[slot])
+        self.stats = _RowTlbStats(self._st)
+        self._one = arena.one
         # Argument tail of the single-page access() call, built once.
-        self._one_args = (self._one.ctypes.data, *self._ptrs, config.entries)
-        self.stats = TlbStats()
+        self._one_args = (
+            arena.one_ptrs[0], ptrs[0], ptrs[2], ptrs[3], config.entries, stats_ptr,
+        )
 
     def access(self, vpage: int) -> bool:
         """Look up a virtual page; returns True on hit."""
         self._one[0] = vpage
-        misses = self._lib.tlb_misses(1, *self._one_args)
-        self.stats.hits += 1 - misses
-        self.stats.misses += misses
-        return misses == 0
+        return self._lib.tlb_misses(1, *self._one_args) == 0
 
     def invalidate_all(self) -> int:
         """Flush the TLB; returns the number of entries dropped."""
         dropped = int((self.entries != -1).sum())
         self.entries.fill(-1)
         self.age.fill(0)
-        self.stats.flushes += 1
+        self._st[FLUSHES] += 1
         return dropped
 
     def invalidate_page(self, vpage: int) -> bool:

@@ -14,7 +14,10 @@
 
 ``MACHINES`` is the registry every driver, test suite and doc table
 derives its machine list from — the single source of truth for what
-exists (the ``machines.*`` static-analysis rules enforce it both ways).
+exists.  The ``machines.*`` static-analysis rule checks that the docs
+tables list every registered machine; ``TestRegistryCoverage`` in
+``tests/test_machines.py`` pins the figure grids, the golden curves and
+the model-audit manifest to the registry.
 Each machine's flush behaviour lives in its
 :class:`~repro.machines.policy.PurgePolicy`; :func:`machine_policy`
 exposes the registered default so the sweep store keys and the attack

@@ -314,10 +314,10 @@ class Machine(abc.ABC):
             recv_ins = ipc.plan_recv(st.ctx_insecure, app.ipc_reply_bytes)
             segments.extend(
                 [
-                    Segment(st.ctx_insecure, tr_ins.addrs, tr_ins.writes),
+                    Segment(st.ctx_insecure, tr_ins.addrs, tr_ins.writes, b_ins, k),
                     Segment(send_ins.ctx, send_ins.addrs, send_ins.writes),
                     Segment(recv_sec.ctx, recv_sec.addrs, recv_sec.writes),
-                    Segment(st.ctx_secure, tr_sec.addrs, tr_sec.writes),
+                    Segment(st.ctx_secure, tr_sec.addrs, tr_sec.writes, b_sec, k),
                     Segment(send_sec.ctx, send_sec.addrs, send_sec.writes),
                     Segment(recv_ins.ctx, recv_ins.addrs, recv_ins.writes),
                 ]

@@ -3,8 +3,8 @@
 The measured run of every machine consumes one trace per interaction
 per process.  Generating those traces one at a time costs a workload
 generator call per interaction — dozens of small NumPy allocations and
-a Python interleave loop each — and regenerating them for every machine
-in a figure matrix multiplies that by four.
+an interleave each — and regenerating them for every machine in a
+figure matrix multiplies that by four.
 
 A :class:`TraceBundle` materializes a process's whole interaction
 stream at once: the workload generator is invoked a single time for the
@@ -18,7 +18,10 @@ Bundles are cached (bounded, LRU) under a key that pins everything the
 stream depends on — workload/app name, role, seed, index range and the
 :attr:`~repro.workloads.base.AppSpec.trace_scale` knob — so the four
 machines of a figure matrix, and both replay engines of the
-equivalence suite, share one materialization per app.
+equivalence suite, share one materialization per app.  A bundle also
+carries its run-length-compressed events (:meth:`TraceBundle.events`,
+per line size): the batched replay planner compresses a bundle once,
+however many machines replay it, and the cache's byte cap counts them.
 
 The bundle stream is *canonical*: each (app, role, seed, range, scale)
 key deterministically defines the traces, independent of which machine
@@ -32,11 +35,12 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.arch.batch_replay import compress_runs
 from repro.sim.trace import Trace
 
 #: Entropy tag separating bundle RNG streams from every other seeded
@@ -62,6 +66,9 @@ class TraceBundle:
     offsets: np.ndarray
     instr_per_access: np.ndarray  # one value per segment
     start: int
+    _events: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def n_segments(self) -> int:
@@ -79,6 +86,23 @@ class TraceBundle:
             None if self.writes is None else self.writes[a:b],
             float(self.instr_per_access[k]),
         )
+
+    def events(self, line_bytes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run-length-compressed events of every segment, for one line size.
+
+        ``(vlines, writes, ev_offsets)`` as
+        :func:`~repro.arch.batch_replay.compress_runs` returns them for
+        the bundle's segments: segment ``k``'s events are
+        ``[ev_offsets[k], ev_offsets[k+1])``.  Computed on first use
+        and kept with the bundle, so every machine that replays it
+        shares one compression.
+        """
+        events = self._events.get(line_bytes)
+        if events is None:
+            shift = (line_bytes - 1).bit_length()
+            events = compress_runs(self.addrs >> shift, self.writes, self.offsets)
+            self._events[line_bytes] = events
+        return events
 
     def traces(self) -> List[Trace]:
         """All segments as (zero-copy) per-interaction traces."""
@@ -140,6 +164,7 @@ def _bundle_nbytes(bundle: TraceBundle) -> int:
         + (bundle.writes.nbytes if bundle.writes is not None else 0)
         + bundle.offsets.nbytes
         + bundle.instr_per_access.nbytes
+        + sum(a.nbytes for events in bundle._events.values() for a in events)
     )
 
 

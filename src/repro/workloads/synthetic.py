@@ -125,33 +125,30 @@ def strided(base: int, n: int, stride: int, window_bytes: int) -> np.ndarray:
     return base + (np.arange(n, dtype=np.int64) * stride) % max(stride, window_bytes)
 
 
+#: Accesses each stream contributes per round of :func:`interleave`.
+INTERLEAVE_BLOCK = 16
+
+
 def interleave(*streams: np.ndarray) -> np.ndarray:
-    """Round-robin interleave several address streams."""
+    """Round-robin interleave several address streams, as int64.
+
+    Streams take turns in blocks of :data:`INTERLEAVE_BLOCK` accesses,
+    in argument order, which mimics pipelined phases while keeping
+    per-stream spatial locality runs intact; a stream that runs out
+    drops out of the rotation.  So element ``c`` of stream ``i`` sorts
+    by ``(c // INTERLEAVE_BLOCK, i)``: a stable sort of the
+    concatenation by block number alone gives that order.
+    """
     streams = [s for s in streams if len(s)]
     if not streams:
         return np.empty(0, dtype=np.int64)
     if len(streams) == 1:
-        return streams[0]
-    n = sum(len(s) for s in streams)
-    out = np.empty(n, dtype=np.int64)
-    k = len(streams)
-    longest = max(len(s) for s in streams)
-    pos = 0
-    chunks = []
-    cursors = [0] * k
-    # Interleave in small blocks to mimic pipelined phases while keeping
-    # per-stream spatial locality runs intact.
-    block = 16
-    while pos < n:
-        for i, s in enumerate(streams):
-            c = cursors[i]
-            if c >= len(s):
-                continue
-            take = min(block, len(s) - c)
-            out[pos : pos + take] = s[c : c + take]
-            cursors[i] = c + take
-            pos += take
-    return out
+        return np.asarray(streams[0], dtype=np.int64)
+    blocks = np.concatenate(
+        [np.arange(len(s), dtype=np.int32) // INTERLEAVE_BLOCK for s in streams]
+    )
+    order = np.argsort(blocks, kind="stable")
+    return np.concatenate(streams).astype(np.int64, copy=False)[order]
 
 
 def interleave_pattern(lengths) -> np.ndarray:

@@ -328,7 +328,7 @@ class TestCachedAddressParity:
             op = step % 5
             if op == 1:
                 lines, writes, hits = batch()
-                flags, _ = multi_slice_flags_wb([nat], [0, len(lines)], lines, writes)
+                flags = multi_slice_flags_wb([nat], [0, len(lines)], lines, writes)
                 assert flags.astype(bool).tolist() == hits
             elif op == 2:
                 assert ref.invalidate_all() == nat.invalidate_all()
@@ -364,17 +364,18 @@ class TestCachedAddressParity:
 class TestReplayEventsParity:
     """``replay_events`` on one segment and one core vs single-event access.
 
-    One core's TLB and L1 and one L2 slice, replayed by the fused
-    kernel and by the reference ``Tlb``/``SetAssocCache`` event by
-    event: hit/miss, LRU victims, dirty flags and writebacks must
-    agree, and so must the per-segment counters and cycles.  The slice
-    starts absent, so the kernel's stop-and-resume path runs too.
+    One core's TLB and L1 and one L2 slice, the three slots of a
+    one-tile state arena, replayed by the fused kernel and by the
+    reference ``Tlb``/``SetAssocCache`` event by event: hit/miss, LRU
+    victims, dirty flags and writebacks must agree, and so must the
+    per-segment counters and cycles.  The kernel keeps the stats rows
+    itself, so the views read the reference stats with no folding.
     """
 
     WALK, L2_LAT, DRAM = 50.0, 11.0, 108.0
 
     def test_one_segment_matches_reference(self):
-        from repro.arch.native import replay_events
+        from repro.arch.native import StateArena, replay_events
 
         l1_cfg, l2_cfg = CacheConfig(512, 2, 64), CacheConfig(2048, 4, 64)
         tlb_cfg = TlbConfig(entries=4)
@@ -403,36 +404,29 @@ class TestReplayEventsParity:
                 want["l2_misses"] += 1
                 want["mem"] += self.L2_LAT + self.DRAM
 
-        tlb, l1 = NativeTlb(tlb_cfg, "t"), NativeCache(l1_cfg, "l1")
-        l2 = []
-        cache_tab = np.zeros(4 * 2, dtype=np.int64)
-        cache_tab[0:4] = l1._state_ptrs
-
-        def make_l2(tile):
-            assert tile == 0 and not l2
-            l2.append(NativeCache(l2_cfg, "l2"))
-            cache_tab[4:8] = l2[0]._state_ptrs
-
+        arena = StateArena([
+            l1_cfg.n_sets * l1_cfg.associativity,
+            l2_cfg.n_sets * l2_cfg.associativity,
+            tlb_cfg.entries,
+        ])
         geom = np.asarray(
             [l1_cfg.n_sets - 1, 2, l2_cfg.n_sets - 1, 4, tlb_cfg.entries, 1, 1],
             dtype=np.int64,
         )
         lat = np.asarray([4.0, self.L2_LAT, self.DRAM, self.WALK])
         zero = np.zeros(1)
-        seg_out, mem_out, mc_out, cache_out = replay_events(
+        seg_out, mem_out, mc_out = replay_events(
             np.asarray([0, len(lines)], dtype=np.int64),
             np.zeros(2, dtype=np.int64),
             (np.asarray(pages), np.asarray(writes), np.asarray(lines),
              np.zeros(len(lines)), np.zeros(len(lines))),
-            (cache_tab, np.asarray(tlb._ptrs, dtype=np.int64), geom, lat),
+            (arena, geom, lat),
             np.asarray([zero.ctypes.data, zero.ctypes.data, -1], dtype=np.int64),
             [],
-            make_l2,
         )
-        l1._fold(*cache_out[0].tolist())
-        l2[0]._fold(*cache_out[1].tolist())
-        tlb.stats.hits += int(cache_out[2, 0])
-        tlb.stats.misses += int(cache_out[2, 1])
+        l1 = NativeCache(l1_cfg, "l1", arena, 0)
+        l2 = NativeCache(l2_cfg, "l2", arena, 1)
+        tlb = NativeTlb(tlb_cfg, "t", arena, 2)
 
         assert seg_out[0].tolist() == [
             want["tlb"], want["l1"], ref_l1.stats.writebacks,
@@ -441,7 +435,7 @@ class TestReplayEventsParity:
         assert ref_l1.stats.writebacks > 0 and ref_l2.stats.evictions > 0
         assert mem_out.tolist() == [want["mem"]]
         assert mc_out.tolist() == [[want["l2_misses"]]]
-        for ref, nat in ((ref_l1, l1), (ref_l2, l2[0])):
+        for ref, nat in ((ref_l1, l1), (ref_l2, l2)):
             assert ref.stats == nat.stats
             assert (ref.valid_lines, ref.dirty_lines) == (nat.valid_lines, nat.dirty_lines)
             for s in range(ref.n_sets):

@@ -436,14 +436,14 @@ class TestSmallTraceThreshold:
 
 
 class TestFusedKernelPaths:
-    """The fused kernel's stop-and-resume and lazy-creation paths.
+    """The fused kernel over the state arena, and its lazy views.
 
     One ``BatchReplayer`` schedule against the per-call scalar oracle.
     The schedule starts on a fresh hierarchy, so every L2 slice is
-    created at an L1 miss inside an epoch (the kernel returns there and
-    resumes); one core only has empty segments; two context groups
-    share one replica set; and a ``purge_private`` sits between the
-    two epochs.
+    first touched by the kernel inside an epoch and gets its Python
+    view only afterwards; one core only has empty segments; two
+    context groups share one replica set; and a ``purge_private`` sits
+    between the two epochs.
     """
 
     def _contexts(self, hier):
@@ -466,7 +466,7 @@ class TestFusedKernelPaths:
             ),
         ]
 
-    def test_resume_and_lazy_creation_match_oracle(self, rng):
+    def test_arena_and_lazy_views_match_oracle(self, rng):
         if not native_available():
             pytest.skip("compiled kernels unavailable")
         from repro.arch.batch_replay import BatchReplayer, Segment
@@ -486,22 +486,15 @@ class TestFusedKernelPaths:
             plan.append((who, addrs, writes))
         cut = 6
 
-        created = []
-        make_l2 = hv.l2_slice
-
-        def spy(tile):
-            if tile not in hv._l2:
-                created.append(tile)
-            return make_l2(tile)
-
-        hv.l2_slice = spy
         replayer = BatchReplayer(
             hv, [Segment(cv[who], a, w) for who, a, w in plan]
         )
-        per, bat = [], []
+        per, bat, created = [], [], []
         for a, b in ((0, cut), (cut, len(plan))):
             per += [hs.run_trace(cs[who], addrs, w) for who, addrs, w in plan[a:b]]
+            before = set(hv._l2)
             bat += replayer.run_epoch(a, b)
+            created += set(hv._l2) - before
             if a == 0:
                 assert hs.purge_private([0, 1, 2]) == hv.purge_private([0, 1, 2])
         assert per == bat
@@ -734,6 +727,69 @@ class TestPurgePathOccupancy:
         assert hs.clean_l2(cs.slices) == hv.clean_l2(cv.slices) == 0
         for hier, ctx in pair.sides:
             self._assert_counters(hier, ctx)
+
+    def test_arena_slots_set_and_disjoint(self):
+        """A vector hierarchy's state arena: every slot set, none shared."""
+        if not native_available():
+            pytest.skip("compiled kernels unavailable")
+        config = SystemConfig.evaluation()
+        hier = MemoryHierarchy(config.with_engine("vector"))
+        arena = hier._arena
+        n_tiles = hier.mesh.n_cores
+        ways = (
+            [config.l1.n_sets * config.l1.associativity] * n_tiles
+            + [config.l2_slice.n_sets * config.l2_slice.associativity] * n_tiles
+            + [config.tlb.entries] * n_tiles
+        )
+        tab = arena.cache_tab.reshape(-1, 4)
+        assert len(tab) == len(ways) == 3 * n_tiles
+        assert (tab != 0).all()
+        # {tags, dirty, age, clock}: item sizes and extents per slot.
+        for col, (size, extents) in enumerate(
+            [(8, ways), (1, ways), (8, ways), (8, [1] * len(ways))]
+        ):
+            spans = sorted(
+                (start, start + size * n) for start, n in zip(tab[:, col].tolist(), extents)
+            )
+            assert all(end <= nxt for (_, end), (nxt, _) in zip(spans, spans[1:])), col
+        buffers = (arena.tags, arena.dirty, arena.age, arena.clock)
+        for col, buf in enumerate(buffers):
+            lo = buf.ctypes.data
+            assert lo <= tab[:, col].min() and tab[:, col].max() < lo + buf.nbytes
+        assert (arena.tags == -1).all() and not arena.stats.any()
+
+    def test_batched_mi6_arena_matches_recount(self):
+        """After a batched MI6 run (purges between epochs), touched slots
+        keep exact occupancy and untouched ones read empty."""
+        if not native_available():
+            pytest.skip("compiled kernels unavailable")
+        from repro.arch.native import FLUSHES, HITS, MISSES
+
+        config = SystemConfig.evaluation().with_engine("vector")
+        machine = build_machine("mi6", config)
+        machine.run(get_app("<MEMCACHED, OS>"), n_interactions=3, seed=0)
+        hier = machine.hier
+        assert hier.engine == "vector"
+        arena = hier._arena
+        n_tiles = hier.mesh.n_cores
+        views = {**hier._l1, **{n_tiles + t: c for t, c in hier._l2.items()}}
+        views.update({2 * n_tiles + c: t for c, t in hier._tlb.items()})
+        assert hier._l2 and hier._l1 and hier._tlb
+        for slot in range(3 * n_tiles):
+            row = arena.stats[slot]
+            view = views.get(slot)
+            if view is None:
+                a, b = arena.offsets[slot], arena.offsets[slot + 1]
+                assert (arena.tags[a:b] == -1).all() and not arena.dirty[a:b].any()
+                assert not row.any(), slot
+                continue
+            assert row[HITS] + row[MISSES] > 0 or row[FLUSHES] > 0, view.name
+            if slot >= 2 * n_tiles:
+                assert view.occupancy <= view.config.entries
+                continue
+            valid, dirty = self._recount(view)
+            assert (view.valid_lines, view.dirty_lines) == (valid, dirty), view.name
+            assert dirty <= valid <= view.n_sets * view.assoc
 
     def test_purge_report_matches_recount(self, backend, rng):
         """PurgeModel dirty-drain accounting equals a state recount."""

@@ -7,6 +7,7 @@ import pytest
 
 from repro.sim.bundle import (
     TraceBundle,
+    bundle_cache_bytes,
     bundle_cache_size,
     clear_bundle_cache,
     interaction_bundle,
@@ -105,6 +106,94 @@ class TestTraceBundle:
         assert np.array_equal(seg0.writes, np.zeros(5, dtype=np.int8))
         assert np.array_equal(seg1.writes, traces[1].writes)
         assert seg1.instr_per_access == 7.0
+
+
+class TestBundleEvents:
+    """Bundles carry their run-length-compressed events for the planner."""
+
+    APP = "<MEMCACHED, OS>"
+
+    def test_cached_events_match_events_array(self):
+        """Every segment's cached events are the oracle front end's."""
+        from repro.arch.address import VirtualMemory
+        from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
+        from repro.config import SystemConfig
+
+        config = SystemConfig.evaluation()
+        app = get_app(self.APP)
+        for role, proc in zip(("secure", "insecure"), app.processes()):
+            bundle = interaction_bundle(app, role, proc, seed=0, start=-2, count=5)
+            before = bundle_cache_bytes()
+            vlines, writes, ev_off = bundle.events(config.line_bytes)
+            assert bundle.events(config.line_bytes)[0] is vlines
+            # The cache's byte cap counts the events.
+            assert bundle_cache_bytes() == before + sum(
+                a.nbytes for a in (vlines, writes, ev_off)
+            )
+            hier = MemoryHierarchy(config.with_engine("scalar"))
+            vm = VirtualMemory("p", hier.address_space, list(range(config.mem.n_regions)))
+            ctx = ProcessContext(
+                "p", "insecure", vm, cores=[0], slices=list(range(8)),
+                controllers=[0], enforce=False,
+            )
+            for k in range(bundle.n_segments):
+                seg = bundle.segment(k)
+                vpages, ev_writes, plines, _, _, hits = hier._events_array(
+                    ctx, seg.addrs, seg.writes
+                )
+                a, b = ev_off[k], ev_off[k + 1]
+                assert np.array_equal(vlines[a:b] >> hier._lp_shift, vpages)
+                assert np.array_equal(
+                    vlines[a:b] & hier._lp_mask, plines & hier._lp_mask
+                )
+                assert np.array_equal(writes[a:b], ev_writes)
+                assert len(seg) - (b - a) == hits
+
+    def test_second_plan_does_not_recompress(self, monkeypatch):
+        """A bundle is compressed once, however many plans replay it."""
+        from repro.arch import batch_replay
+        from repro.arch.address import VirtualMemory
+        from repro.arch.batch_replay import BatchReplayer, Segment
+        from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
+        from repro.arch.native import native_available
+        from repro.config import SystemConfig
+        from repro.sim import bundle as bundle_mod
+
+        if not native_available():
+            pytest.skip("compiled kernels unavailable")
+        calls = []
+        compress = batch_replay.compress_runs
+
+        def spy(vlines, writes, offsets):
+            calls.append(len(offsets) - 1)
+            return compress(vlines, writes, offsets)
+
+        monkeypatch.setattr(bundle_mod, "compress_runs", spy)
+        monkeypatch.setattr(batch_replay, "compress_runs", spy)
+        config = SystemConfig.evaluation().with_engine("vector")
+        app = get_app(self.APP)
+        sec, _ = app.processes()
+        bundle = interaction_bundle(app, "secure", sec, seed=0, start=0, count=4)
+
+        def replay(from_bundle):
+            hier = MemoryHierarchy(config)
+            vm = VirtualMemory("p", hier.address_space, [0, 1])
+            ctx = ProcessContext(
+                "p", "secure", vm, cores=[0, 1], slices=list(range(8)),
+                controllers=[0, 1],
+            )
+            segs = [
+                Segment(ctx, tr.addrs, tr.writes, *((bundle, k) if from_bundle else ()))
+                for k, tr in enumerate(bundle.traces())
+            ]
+            return BatchReplayer(hier, segs).run_epoch(0, len(segs))
+
+        first = replay(True)
+        assert calls == [bundle.n_segments]
+        assert replay(True) == first
+        assert calls == [bundle.n_segments]
+        assert replay(False) == first
+        assert calls == [bundle.n_segments] * 2
 
 
 class TestTraceScale:

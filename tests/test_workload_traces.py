@@ -59,6 +59,40 @@ class TestSyntheticPrimitives:
         assert len(out) == 50
         assert set(out.tolist()) == set(a.tolist()) | set(b.tolist())
 
+    @staticmethod
+    def _loop_interleave(*streams):
+        """The block loop :func:`syn.interleave` replaced, as the reference."""
+        streams = [s for s in streams if len(s)]
+        n = sum(len(s) for s in streams)
+        out = np.empty(n, dtype=np.int64)
+        cursors = [0] * len(streams)
+        pos = 0
+        while pos < n:
+            for i, s in enumerate(streams):
+                c = cursors[i]
+                if c >= len(s):
+                    continue
+                take = min(16, len(s) - c)
+                out[pos : pos + take] = s[c : c + take]
+                cursors[i] = c + take
+                pos += take
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_interleave_matches_block_loop(self, rng, dtype):
+        lengths = [0, 1, 15, 16, 17, 31, 32, 48, 100, 160, 200]
+        for trial in range(300):
+            k = trial % 7
+            streams = [
+                rng.integers(0, 1 << 30, size=int(rng.choice(lengths)), dtype=dtype)
+                for _ in range(k)
+            ]
+            out = syn.interleave(*streams)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, self._loop_interleave(*streams)), [
+                len(s) for s in streams
+            ]
+
     def test_write_mask_density(self, rng):
         mask = syn.write_mask(rng, 10_000, 0.3)
         assert 0.25 < mask.mean() < 0.35
