@@ -26,7 +26,8 @@ over the entire schedule:
   loop's sorted-unique translation would have allocated frames in, even
   when several page tables share DRAM region pools.  One O(n)
   :func:`~repro.arch.native.first_touch` pass finds the first touches;
-  only the unique pages are sorted;
+  only the unique pages are sorted, and only the segments that
+  allocate call the allocator (mapped pages are a page-table lookup);
 * L2 homing (round-robin cursors advanced in the same first-touch
   order) and entitlement checks.
 
@@ -46,6 +47,10 @@ identical cache/TLB contents and stats, and identical replica
 bookkeeping.  ``tests/test_replay_equivalence.py`` enforces this both
 at the ``run_trace_batched`` level and over full machine runs.
 
+:func:`schedule_runner` runs a schedule epoch by epoch on either
+engine: through a :class:`BatchReplayer` on the vector engine, one
+``run_trace`` per segment on the scalar oracle.
+
 Contexts are grouped by replay-relevant key (page table, representative
 core, core/slice sets, homing policy, replication set, NUMA flag), so
 the fresh per-transfer view objects the IPC buffer creates all land in
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,9 +164,14 @@ class BatchReplayer:
 
         # Context groups (order of first appearance).
         group_index: Dict[Tuple, int] = {}
+        ctx_group: Dict[int, int] = {}
         self.group_ctx: List[ProcessContext] = []
         seg_group: List[int] = []
         for seg in segs:
+            gi = ctx_group.get(id(seg.ctx))
+            if gi is not None:
+                seg_group.append(gi)
+                continue
             key = _group_key(seg.ctx)
             gi = group_index.get(key)
             if gi is None:
@@ -170,6 +180,7 @@ class BatchReplayer:
                 self.group_ctx.append(seg.ctx)
                 if seg.ctx.replication:
                     hier._replica_refs[id(seg.ctx)] = weakref.ref(seg.ctx)
+            ctx_group[id(seg.ctx)] = gi
             seg_group.append(gi)
         seg_core = [s.ctx.rep_core for s in segs]
         self.seg_info = np.asarray([seg_core, seg_group], dtype=np.int64).T.ravel()
@@ -214,17 +225,25 @@ class BatchReplayer:
         v_page = g_page[v_first]
         v_seg = g_seg[v_first]
 
-        # Translation, reproducing the per-call allocation order: pages
-        # in (first-touch segment, page) order, one ensure_mapped call
-        # per first-touch segment — the frame allocator round-robins
-        # regions *within* one call, so the per-call batching (each
-        # call allocates exactly its own new pages, sorted) must be
-        # reproduced call for call.
-        v_frame = np.empty(len(v_page), dtype=np.int64)
-        order = np.lexsort((v_page, v_seg))
-        for a, b in _runs(v_seg[order]):
-            idx = order[a:b]
-            v_frame[idx] = segs[int(v_seg[idx[0]])].ctx.vm.ensure_mapped(v_page[idx])
+        # Translation.  Mapped pages resolve by page-table lookup.  The
+        # rest are allocated reproducing the per-call order: pages in
+        # (first-touch segment, page) order, one ensure_mapped call per
+        # first-touch segment that allocates — the frame allocator
+        # round-robins regions *within* one call, so the per-call
+        # batching (each call allocates exactly its own new pages,
+        # sorted) must be reproduced call for call.  A call with
+        # nothing to allocate changes nothing, so it is skipped.
+        tables = [ctx.vm.page_table for ctx in self.group_ctx]
+        v_table = [tables[g] for g in g_grp[v_first].tolist()]
+        v_frame = np.asarray(
+            [t.get(p, -1) for t, p in zip(v_table, v_page.tolist())], dtype=np.int64
+        )
+        missing = np.flatnonzero(v_frame < 0)
+        if len(missing):
+            order = missing[np.lexsort((v_page[missing], v_seg[missing]))]
+            for a, b in _runs(v_seg[order]):
+                idx = order[a:b]
+                v_frame[idx] = segs[int(v_seg[idx[0]])].ctx.vm.ensure_mapped(v_page[idx])
         g_frame = v_frame[v_inv]
 
         # Homing and entitlement per context group, in group order and,
@@ -318,6 +337,27 @@ class BatchReplayer:
             for mc, n in r.mc_requests.items():
                 hier.controllers[mc].record_traffic(n, 0)
         return results
+
+
+def schedule_runner(
+    hier: MemoryHierarchy, segments: Sequence[Segment]
+) -> Callable[[int, int], List[TraceResult]]:
+    """``run_epoch(seg_a, seg_b)`` over ``segments`` on either engine.
+
+    The vector engine plans the schedule once (:class:`BatchReplayer`);
+    the scalar oracle replays each segment with its own
+    :meth:`~repro.arch.hierarchy.MemoryHierarchy.run_trace` call, the
+    per-call reference every schedule must match.  Either way epochs
+    run in order, and state may be read or purged between them.
+    """
+    if hier.engine == "vector":
+        return BatchReplayer(hier, segments).run_epoch
+    segments = list(segments)
+
+    def run_epoch(seg_a: int, seg_b: int) -> List[TraceResult]:
+        return [hier.run_trace(s.ctx, s.addrs, s.writes) for s in segments[seg_a:seg_b]]
+
+    return run_epoch
 
 
 def _runs(keys: np.ndarray) -> List[Tuple[int, int]]:

@@ -42,11 +42,8 @@ once per hierarchy, which one actually runs:
     per-event rule, compiled, over the hierarchy's
     :class:`repro.arch.native.StateArena`, which holds every cache and
     TLB from construction on — in one call per trace (or per batched
-    epoch, see :mod:`repro.arch.batch_replay`).
-    Traces of at most :data:`SMALL_TRACE` accesses skip NumPy: a list
-    front end feeds the per-event loop, run over the compiled caches
-    (see :meth:`MemoryHierarchy.run_trace`).  Without a C toolchain a
-    ``vector`` configuration runs the scalar oracle instead.
+    epoch, see :mod:`repro.arch.batch_replay`).  Without a C toolchain
+    a ``vector`` configuration runs the scalar oracle instead.
 
 Both engines produce bit-identical :class:`TraceResult` counters, cache
 contents and stats; the equivalence suite in
@@ -83,13 +80,6 @@ from repro.config import SystemConfig
 from repro.errors import CacheIsolationViolation, ConfigError
 
 AnyCache = Union[SetAssocCache, NativeCache]
-
-#: Longest trace (in accesses) that the vector engine replays through
-#: the list front end and the per-event loop instead of NumPy and the
-#: batch kernels.  Set at the measured per-call crossover of the two
-#: paths for miss-heavy traces (12-16 accesses); run-heavy traces
-#: cross over later, so below it the list path wins on both.
-SMALL_TRACE = 16
 
 
 def resolve_engine(config: SystemConfig) -> str:
@@ -253,7 +243,6 @@ class MemoryHierarchy:
             [self.dram.controller_of(r) for r in range(config.mem.n_regions)],
             dtype=np.int32,
         )
-        self._mc_of_region_list = self._mc_of_region.tolist()
         self._frames_per_region = frames_per_region
         # Slice-to-controller hop counts for the per-event loop, as
         # lists: per controller, and with NUMA-aware placement (every
@@ -508,16 +497,14 @@ class MemoryHierarchy:
         The replay implementation is the resolved :attr:`engine`; both
         engines return identical counters.
 
-        The vector engine dispatches on trace length.  A trace of at
-        most :data:`SMALL_TRACE` accesses (the attack harness touches
-        one line per call) takes a list-based front end and the
-        per-event loop over the compiled caches, because NumPy's fixed
-        cost per array operation outweighs the work of a few events.
-        Longer traces take the NumPy front end and one call of the
-        fused ``replay_events`` kernel.
-        Both front ends translate, home and check entitlement in the
-        same order, so page allocation, homing and the first raised
-        violation do not depend on the path taken.
+        Both engines share the NumPy front end (:meth:`_events_array`);
+        the vector engine then makes one call of the fused
+        ``replay_events`` kernel, the scalar oracle runs its per-event
+        loop.  Callers with many tiny traces (the attack harness
+        touches one line at a time) replay them as one schedule
+        instead, through :meth:`run_trace_batched` or
+        :func:`~repro.arch.batch_replay.schedule_runner`, because the
+        fixed cost per call outweighs the work of a few events.
         """
         result = TraceResult()
         n = len(addrs)
@@ -528,16 +515,13 @@ class MemoryHierarchy:
         if ctx.replication:
             self._replica_refs[id(ctx)] = weakref.ref(ctx)
 
-        if self.engine == "vector" and n <= SMALL_TRACE:
-            self._replay_scalar(ctx, result, *self._events_list(ctx, addrs, writes))
+        *events, compressed_hits = self._events_array(ctx, addrs, writes)
+        if self.engine == "vector":
+            self._replay_vector(ctx, result, *events, compressed_hits)
         else:
-            *events, compressed_hits = self._events_array(ctx, addrs, writes)
-            if self.engine == "vector":
-                self._replay_vector(ctx, result, *events, compressed_hits)
-            else:
-                self._replay_scalar(
-                    ctx, result, *(e.tolist() for e in events), compressed_hits
-                )
+            self._replay_scalar(
+                ctx, result, *(e.tolist() for e in events), compressed_hits
+            )
         for mc, reqs in result.mc_requests.items():
             self.controllers[mc].record_traffic(reqs, 0)
         return result
@@ -583,67 +567,9 @@ class MemoryHierarchy:
         ev_mcs = self._mc_of_region[ev_frames // self._frames_per_region]
         return ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs, compressed_hits
 
-    def _events_list(
-        self,
-        ctx: ProcessContext,
-        addrs: np.ndarray,
-        writes: Optional[np.ndarray],
-    ) -> tuple:
-        """List-based twin of :meth:`_events_array` for tiny traces.
-
-        Same events and the same ``ensure_mapped`` / ``ensure_homed`` /
-        ``_check_entitlement`` calls over the same sorted unique pages,
-        as Python lists.  A run's write flag is the maximum over the
-        run, as ``np.maximum.reduceat`` gives.
-        """
-        shift = self._line_shift
-        addr_l = addrs.tolist()
-        if writes is None:
-            write_l = [0] * len(addr_l)
-        else:
-            write_l = writes.astype(np.int8, copy=False).tolist()
-        ev_vlines: List[int] = []
-        ev_writes: List[int] = []
-        prev = None
-        for addr, w in zip(addr_l, write_l):
-            vline = addr >> shift
-            if vline != prev:
-                prev = vline
-                ev_vlines.append(vline)
-                ev_writes.append(w)
-            elif w > ev_writes[-1]:
-                ev_writes[-1] = w
-
-        lp_shift = self._lp_shift
-        ev_vpages = [vline >> lp_shift for vline in ev_vlines]
-        uniq_pages = sorted(set(ev_vpages))
-        frames = ctx.vm.ensure_mapped(uniq_pages).tolist()
-        self.ensure_homed(frames, ctx)
-        if ctx.enforce:
-            self._check_entitlement(frames, ctx)
-        table = self.home_table
-        lpp = self._lines_per_page
-        fpr = self._frames_per_region
-        mc_of_region = self._mc_of_region_list
-        page_info = {
-            page: (frame * lpp, int(table[frame]), mc_of_region[frame // fpr])
-            for page, frame in zip(uniq_pages, frames)
-        }
-        mask = self._lp_mask
-        ev_plines: List[int] = []
-        ev_homes: List[int] = []
-        ev_mcs: List[int] = []
-        for page, vline in zip(ev_vpages, ev_vlines):
-            base, home, mc = page_info[page]
-            ev_plines.append(base + (vline & mask))
-            ev_homes.append(home)
-            ev_mcs.append(mc)
-        compressed_hits = len(addr_l) - len(ev_vlines)
-        return ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs, compressed_hits
-
     def run_trace_batched(
         self,
-        ctx: ProcessContext,
+        ctx: Union[ProcessContext, Sequence[ProcessContext]],
         addrs: np.ndarray,
         writes: Optional[np.ndarray] = None,
         bounds: Optional[Sequence[int]] = None,
@@ -652,33 +578,28 @@ class MemoryHierarchy:
 
         ``bounds`` is a non-decreasing sequence of offsets into
         ``addrs`` (including 0 and ``len(addrs)``); each adjacent pair
-        delimits one segment.  Returns one :class:`TraceResult` per
-        segment, bit-identical to calling :meth:`run_trace` once per
-        segment in order — but with translation, homing, compression
-        and kernel dispatch amortized over the whole batch.  On the
-        scalar engine this falls back to the per-segment loop (the
-        reference oracle).
+        delimits one segment.  ``ctx`` is the context every segment
+        runs under, or a sequence of one context per segment.  Returns
+        one :class:`TraceResult` per segment, bit-identical to calling
+        :meth:`run_trace` once per segment in order — but with
+        translation, homing, compression and kernel dispatch amortized
+        over the whole batch.  On the scalar engine this falls back to
+        the per-segment loop (the reference oracle).
         """
+        from repro.arch.batch_replay import Segment, schedule_runner
+
         if bounds is None:
             bounds = [0, len(addrs)]
         bounds = [int(b) for b in bounds]
-        if self.engine != "vector":
-            return [
-                self.run_trace(
-                    ctx, addrs[a:b], None if writes is None else writes[a:b]
-                )
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-        from repro.arch.batch_replay import BatchReplayer, Segment
-
+        n_seg = len(bounds) - 1
+        ctxs = [ctx] * n_seg if isinstance(ctx, ProcessContext) else list(ctx)
+        if len(ctxs) != n_seg:
+            raise ValueError(f"{len(ctxs)} contexts for {n_seg} segments")
         segments = [
-            Segment(
-                ctx, addrs[a:b], None if writes is None else writes[a:b]
-            )
-            for a, b in zip(bounds[:-1], bounds[1:])
+            Segment(c, addrs[a:b], None if writes is None else writes[a:b])
+            for c, a, b in zip(ctxs, bounds[:-1], bounds[1:])
         ]
-        replayer = BatchReplayer(self, segments)
-        return replayer.run_epoch(0, len(segments))
+        return schedule_runner(self, segments)(0, n_seg)
 
     # ------------------------------------------------------------------
     # Scalar engine (reference oracle)

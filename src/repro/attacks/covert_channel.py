@@ -7,6 +7,10 @@ beforehand and probes afterwards.  With temporal sharing (SGX-like) the
 channel is clean.  Under MI6/IRONHIDE the receiver cannot place lines
 in any slice the sender can touch, so its observations carry no signal
 and the channel collapses to coin flips.
+
+The whole transmission is one schedule of one-line touches, planned
+once; each bit is one epoch of it, and the receiver probes the set
+between epochs (see :mod:`repro.attacks.prime_probe`).
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.arch.batch_replay import schedule_runner
 from repro.attacks.environment import AttackEnvironment
-from repro.attacks.prime_probe import PrimeProbeAttack
+from repro.attacks.prime_probe import PrimeProbeAttack, Touch
 from repro.attacks.seeding import attack_rng
 
 
@@ -68,18 +73,30 @@ class CacheCovertChannel:
         ways = env.config.l2_slice.associativity
         can_prime = len(coverage[agreed_set]) >= ways
 
+        # The whole transmission is one schedule, planned once: per bit
+        # the receiver primes the set, then the sender writes for a 1.
+        touches: List[Touch] = []
+        epochs = [0]
+        primed: List[int] = []
+        if can_prime:
+            for vpage, line_in_page in coverage[agreed_set][:ways]:
+                frame = pp._frame(env.attacker, vpage)
+                primed.append(pp._line_id(frame, line_in_page))
+        for bit in bits:
+            if can_prime:
+                touches.extend(
+                    (env.attacker, vpage, line_in_page, False)
+                    for vpage, line_in_page in coverage[agreed_set][:ways]
+                )
+            if bit:
+                touches.append((env.victim, pp._VICTIM_PAGE, self.AGREED_LINE, True))
+            epochs.append(len(touches))
+        run_epoch = schedule_runner(env.hier, pp._schedule(touches))
+
         received: List[int] = []
         slice_cache = env.hier.l2_slice(home)
-        for bit in bits:
-            primed = []
-            if can_prime:
-                for vpage, line_in_page in coverage[agreed_set][:ways]:
-                    pp._touch(env.attacker, vpage, line_in_page)
-                    frame = pp._frame(env.attacker, vpage)
-                    primed.append(pp._line_id(frame, line_in_page))
-            # Sender modulates.
-            if bit:
-                pp._touch(env.victim, pp._VICTIM_PAGE, self.AGREED_LINE, write=True)
+        for a, b in zip(epochs[:-1], epochs[1:]):
+            run_epoch(a, b)
             # Receiver probes.
             if can_prime:
                 evicted = any(not slice_cache.contains(line) for line in primed)

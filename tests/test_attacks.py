@@ -26,7 +26,10 @@ from repro.attacks.analysis import (
     mutual_information_bits,
     recovery_rate,
 )
-from repro.errors import CacheIsolationViolation, ConfigError
+from repro.attacks.covert_channel import CovertChannelResult
+from repro.attacks.environment import ISOLATION_MODELS
+from repro.attacks.prime_probe import PrimeProbeResult
+from repro.errors import CacheIsolationViolation, ConfigError, MemoryIsolationViolation
 
 STRONG = ("mi6", "ironhide")
 TEMPORAL = ("fence_ts", "simf")
@@ -399,3 +402,236 @@ class TestTemporalModels:
     def test_noc_stays_observable(self, model):
         env = AttackEnvironment.build(model)
         assert NocTimingProbe(env).run().observable
+
+
+# ---------------------------------------------------------------------------
+# Batched schedules vs the per-touch loop
+# ---------------------------------------------------------------------------
+
+
+def per_touch_eviction_sets(attack, home_slice, target_sets):
+    """Reference ``build_eviction_sets``: one ``run_trace`` per touch."""
+    env = attack.env
+    ways = env.config.l2_slice.associativity
+    wanted = set(target_sets)
+    coverage = {s: [] for s in target_sets}
+    matched = 0
+    for i in range(attack.max_search_pages):
+        if i >= attack._GIVE_UP_PAGES and not matched:
+            break
+        vpage = attack._ATTACKER_PAGE_BASE + i
+        try:
+            attack._touch(env.attacker, vpage)
+        except CacheIsolationViolation:
+            continue
+        frame = attack._frame(env.attacker, vpage)
+        if int(env.hier.home_table[frame]) != home_slice:
+            continue
+        matched += 1
+        base = attack._base_set(frame)
+        for line_in_page in range(attack._lines_per_page):
+            cache_set = (base + line_in_page) & (attack._n_sets - 1)
+            if cache_set in wanted and len(coverage[cache_set]) < ways:
+                coverage[cache_set].append((vpage, line_in_page))
+        if all(len(v) >= ways for v in coverage.values()):
+            break
+    return coverage
+
+
+def per_touch_run(attack, secret, rng):
+    """Reference ``PrimeProbeAttack.run``: one ``run_trace`` per touch."""
+    env = attack.env
+    attack._touch(env.victim, attack._VICTIM_PAGE)
+    victim_frame = attack._frame(env.victim, attack._VICTIM_PAGE)
+    home = int(env.hier.home_table[victim_frame])
+    victim_base = attack._base_set(victim_frame)
+    candidate_sets = [
+        (victim_base + i) & (attack._n_sets - 1) for i in range(attack._lines_per_page)
+    ]
+    coverage = per_touch_eviction_sets(attack, home, candidate_sets)
+    ways = env.config.l2_slice.associativity
+    if not all(len(v) >= ways for v in coverage.values()):
+        return PrimeProbeResult(
+            env.model, secret, int(rng.integers(0, attack._lines_per_page)), False, 0
+        )
+    primed_lines = {}
+    for idx, cache_set in enumerate(candidate_sets):
+        lines = []
+        for vpage, line_in_page in coverage[cache_set][:ways]:
+            attack._touch(env.attacker, vpage, line_in_page)
+            lines.append(attack._line_id(attack._frame(env.attacker, vpage), line_in_page))
+        primed_lines[idx] = lines
+    attack._touch(env.victim, attack._VICTIM_PAGE, secret, write=True)
+    slice_cache = env.hier.l2_slice(home)
+    recovered = None
+    for idx in range(attack._lines_per_page):
+        if any(not slice_cache.contains(line) for line in primed_lines[idx]):
+            recovered = idx
+            break
+    return PrimeProbeResult(env.model, secret, recovered, True, attack._lines_per_page)
+
+
+def per_touch_transmit(channel, bits, rng):
+    """Reference ``CacheCovertChannel.transmit``: one ``run_trace`` per touch."""
+    env, pp = channel.env, channel._pp
+    pp._touch(env.victim, pp._VICTIM_PAGE)
+    sender_frame = pp._frame(env.victim, pp._VICTIM_PAGE)
+    home = int(env.hier.home_table[sender_frame])
+    agreed_set = (pp._base_set(sender_frame) + channel.AGREED_LINE) & (pp._n_sets - 1)
+    coverage = per_touch_eviction_sets(pp, home, [agreed_set])
+    ways = env.config.l2_slice.associativity
+    can_prime = len(coverage[agreed_set]) >= ways
+    received = []
+    slice_cache = env.hier.l2_slice(home)
+    for bit in bits:
+        primed = []
+        if can_prime:
+            for vpage, line_in_page in coverage[agreed_set][:ways]:
+                pp._touch(env.attacker, vpage, line_in_page)
+                primed.append(pp._line_id(pp._frame(env.attacker, vpage), line_in_page))
+        if bit:
+            pp._touch(env.victim, pp._VICTIM_PAGE, channel.AGREED_LINE, write=True)
+        if can_prime:
+            received.append(int(any(not slice_cache.contains(line) for line in primed)))
+        else:
+            received.append(int(rng.integers(0, 2)))
+    return CovertChannelResult(env.model, list(bits), received)
+
+
+def cache_state(cache):
+    """Stats and every set's ``[tag, dirty]`` entries, MRU-first."""
+    if hasattr(cache, "set_entries"):
+        sets = [cache.set_entries(s) for s in range(cache.n_sets)]
+    else:
+        sets = [[list(e) for e in cache._sets[s]] for s in range(cache.n_sets)]
+    return cache.stats.snapshot(), sets
+
+
+def tlb_state(tlb):
+    entries = tlb.lru_entries() if hasattr(tlb, "lru_entries") else [int(p) for p in tlb._entries]
+    return tlb.stats, entries
+
+
+def assert_same_env_state(a, b):
+    """Whole-state equality of two attack environments on one engine."""
+    ha, hb = a.hier, b.hier
+    for ctx_a, ctx_b in ((a.victim, b.victim), (a.attacker, b.attacker)):
+        assert ctx_a.vm.page_table == ctx_b.vm.page_table
+        assert ctx_a._rr_next == ctx_b._rr_next
+        assert (ctx_a._replicated or set()) == (ctx_b._replicated or set())
+    assert [r.next_free for r in ha.address_space.regions] == [
+        r.next_free for r in hb.address_space.regions
+    ]
+    assert np.array_equal(ha.home_table, hb.home_table)
+    for name in ("_l1", "_l2"):
+        ca, cb = getattr(ha, name), getattr(hb, name)
+        assert set(ca) == set(cb), name
+        for key in ca:
+            assert cache_state(ca[key]) == cache_state(cb[key]), (name, key)
+    assert set(ha._tlb) == set(hb._tlb)
+    for core in ha._tlb:
+        assert tlb_state(ha._tlb[core]) == tlb_state(hb._tlb[core]), core
+    for mc_a, mc_b in zip(ha.controllers, hb.controllers):
+        assert mc_a.stats == mc_b.stats
+        assert (mc_a._busy_until, mc_a._pending) == (mc_b._busy_until, mc_b._pending)
+
+
+def env_pair(model, engine):
+    """Two identical fresh environments on ``engine``."""
+    from repro.config import SystemConfig
+
+    config = SystemConfig.evaluation().with_engine(engine)
+    return AttackEnvironment.build(model, config), AttackEnvironment.build(model, config)
+
+
+@pytest.mark.equivalence
+class TestScheduleEquivalence:
+    """The harnesses' batched schedules leave exactly the per-touch state.
+
+    ``build_eviction_sets``, ``run`` and ``transmit`` replay their
+    touches as planned schedules; the references above are the
+    one-``run_trace``-per-touch loops the schedules replace.  Results,
+    page tables, the frame allocator, homing cursors and table, every
+    cache and TLB (entries and stats) and controller traffic must match
+    on both engines.
+    """
+
+    ENGINES = ("scalar", "vector")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("model", ISOLATION_MODELS)
+    def test_prime_probe_run(self, model, engine):
+        batched, per_touch = env_pair(model, engine)
+        got = PrimeProbeAttack(batched).run(29, np.random.default_rng(5))
+        want = per_touch_run(PrimeProbeAttack(per_touch), 29, np.random.default_rng(5))
+        assert got == want
+        assert_same_env_state(batched, per_touch)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("model", ISOLATION_MODELS)
+    def test_covert_transmit(self, model, engine):
+        bits = TestCovertChannel.BITS[:12]
+        batched, per_touch = env_pair(model, engine)
+        got = CacheCovertChannel(batched).transmit(bits, np.random.default_rng(5))
+        want = per_touch_transmit(
+            CacheCovertChannel(per_touch), bits, np.random.default_rng(5)
+        )
+        assert got == want
+        assert_same_env_state(batched, per_touch)
+
+    @staticmethod
+    def _victim_home(env, attack):
+        attack._touch(env.victim, attack._VICTIM_PAGE)
+        return int(env.hier.home_table[env.victim.vm.page_table[attack._VICTIM_PAGE]])
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_isolation_violation_mid_search(self, engine):
+        """A later attacker page pre-homed into the victim's slice (as
+        in ``test_direct_probe_of_victim_slice_raises``) is skipped at
+        the same index by both."""
+        envs = env_pair("ironhide", engine)
+        coverages = []
+        for env, build in zip(envs, ("batched", "per_touch")):
+            attack = PrimeProbeAttack(env)
+            home = self._victim_home(env, attack)
+            vpage = attack._ATTACKER_PAGE_BASE + 5
+            attack._touch(env.attacker, vpage)
+            env.hier.home_table[env.attacker.vm.page_table[vpage]] = home
+            with pytest.raises(CacheIsolationViolation):
+                attack._touch(env.attacker, vpage)
+            sets = [home * 7 % attack._n_sets]
+            if build == "batched":
+                coverages.append(attack.build_eviction_sets(home, sets))
+            else:
+                coverages.append(per_touch_eviction_sets(attack, home, sets))
+        assert coverages[0] == coverages[1]
+        # The pre-touch plus 255 of the 256 searched pages: page 5 is skipped.
+        tlb = envs[0].hier.tlb_for(envs[0].attacker.rep_core)
+        assert tlb.stats.accesses == PrimeProbeAttack._GIVE_UP_PAGES
+        assert_same_env_state(*envs)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("model", STRONG)
+    def test_escaping_error_replays_decided_prefix(self, model, engine):
+        """A ``MemoryIsolationViolation`` mid-search propagates after
+        the touches decided before it are replayed: the state at the
+        raise equals the per-touch loop's."""
+        envs = env_pair(model, engine)
+        for env, build in zip(envs, ("batched", "per_touch")):
+            attack = PrimeProbeAttack(env)
+            home = self._victim_home(env, attack)
+            # Map a later attacker page onto a frame of the victim's
+            # DRAM region.
+            attack._touch(env.victim, attack._VICTIM_PAGE + 1)
+            victim_frame = env.victim.vm.page_table[attack._VICTIM_PAGE + 1]
+            env.attacker.vm.page_table[attack._ATTACKER_PAGE_BASE + 9] = victim_frame
+            l1 = env.hier.l1_for(env.attacker.rep_core)
+            before = l1.stats.accesses
+            with pytest.raises(MemoryIsolationViolation):
+                if build == "batched":
+                    attack.build_eviction_sets(home, [0, 1])
+                else:
+                    per_touch_eviction_sets(attack, home, [0, 1])
+            # Pages 0-8 were decided before the raise, and replayed.
+            assert l1.stats.accesses - before == 9
+        assert_same_env_state(*envs)

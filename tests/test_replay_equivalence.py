@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.arch.address import VirtualMemory
-from repro.arch.hierarchy import SMALL_TRACE, MemoryHierarchy, ProcessContext
+from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
 from repro.arch.native import native_available
 from repro.config import SystemConfig
 from repro.errors import CacheIsolationViolation, MemoryIsolationViolation
@@ -289,6 +289,34 @@ class TestBatchedReplayEquivalence:
         assert [r.accesses for r in bat] == [0, 120, 0, 380]
         pair.assert_same_state()
 
+    def test_per_segment_contexts(self, backend, rng):
+        """A context per segment, as the attack harnesses schedule their
+        attacker and victim touches: two page tables, cores and slice
+        sets interleaved segment by segment."""
+        pair = EnginePair()
+        others = []
+        for hier, ctx in pair.sides:
+            vm = VirtualMemory("q", hier.address_space, [2, 3])
+            others.append(ProcessContext(
+                "q", "insecure", vm, cores=[8, 9], slices=[8, 9, 10], controllers=[2, 3]
+            ))
+        (hs, cs), (hv, cv) = pair.sides
+        addrs, writes = random_trace(rng, 2000, span=1 << 17)
+        bounds = [0, 1, 2, 300, 301, 900, 1500, 1501, 2000]
+        picks = rng.integers(0, 2, size=len(bounds) - 1).tolist()
+        ctxs_s = [(cs, others[0])[p] for p in picks]
+        ctxs_v = [(cv, others[1])[p] for p in picks]
+        per = [
+            hs.run_trace(c, addrs[a:b], writes[a:b])
+            for c, a, b in zip(ctxs_s, bounds[:-1], bounds[1:])
+        ]
+        assert hv.run_trace_batched(ctxs_v, addrs, writes, bounds) == per
+        pair.assert_same_state()
+        assert others[0].vm.page_table == others[1].vm.page_table
+        assert np.array_equal(hs.home_table, hv.home_table)
+        with pytest.raises(ValueError):
+            hv.run_trace_batched(ctxs_v[:-1], addrs, writes, bounds)
+
     def test_replicated_segments(self, backend, rng):
         pair = EnginePair(homing="hash", replication=True, slices=list(range(16)))
         (hs, cs), (hv, cv) = pair.sides
@@ -305,7 +333,7 @@ class TestBatchedReplayEquivalence:
 
 
 def threshold_trace(rng, n, config):
-    """``n`` accesses built to stress the list front end's edge cases.
+    """``n`` accesses built to stress a front end's edge cases.
 
     The walk repeats lines (runs), sets write flags inside runs (not
     only on a run's first access, so the max-reduction matters) and
@@ -332,8 +360,10 @@ def assert_conserved(res):
     assert sum(res.mc_requests.values()) == res.l2_misses
 
 
-#: Trace lengths around the vector engine's small-call threshold.
-THRESHOLD_LENGTHS = (1, SMALL_TRACE - 1, SMALL_TRACE, SMALL_TRACE + 1, 2 * SMALL_TRACE)
+#: Tiny-trace lengths: one access, and around 16 accesses, where the
+#: vector engine once switched between a list front end and NumPy.
+TINY_TRACE = 16
+THRESHOLD_LENGTHS = (1, TINY_TRACE - 1, TINY_TRACE, TINY_TRACE + 1, 2 * TINY_TRACE)
 
 #: Context shapes the threshold tests cover.
 THRESHOLD_CONTEXTS = {
@@ -344,12 +374,12 @@ THRESHOLD_CONTEXTS = {
 
 
 class TestSmallTraceThreshold:
-    """The vector engine's size dispatch against the scalar oracle.
+    """Tiny per-call traces on the vector engine against the scalar oracle.
 
-    Traces of at most :data:`SMALL_TRACE` accesses take the list front
-    end and the per-event loop over the compiled caches; longer ones
-    take NumPy and the batch kernels.  Both must match the oracle on
-    either side of the threshold, on a shared, evolving state.
+    Every vector ``run_trace`` call, one access or thousands, takes the
+    NumPy front end and one ``replay_events`` kernel call.  Tiny traces
+    stress its edge cases (single events, runs, page steps both ways);
+    they must match the oracle on a shared, evolving state.
     """
 
     @pytest.mark.parametrize("shape", sorted(THRESHOLD_CONTEXTS))
@@ -380,27 +410,28 @@ class TestSmallTraceThreshold:
                 return method(*args)
             return wrapped
 
-        hv._events_list = spy("list", hv._events_list)
-        hv._replay_vector = spy("vector", hv._replay_vector)
+        hv._events_array = spy("numpy", hv._events_array)
+        hv._replay_scalar = spy("loop", hv._replay_scalar)
+        hv._replay_vector = spy("kernel", hv._replay_vector)
         for n in THRESHOLD_LENGTHS:
             taken.clear()
             pair.run(*threshold_trace(rng, n, hv.config))
-            assert taken == (["list"] if n <= SMALL_TRACE else ["vector"]), n
+            assert taken == ["numpy", "kernel"], n
         pair.assert_same_state()
 
     @pytest.mark.parametrize("shape", sorted(THRESHOLD_CONTEXTS))
     def test_tiny_calls_match_batched_planner(self, backend, rng, shape):
         """Per-call tiny traces vs ``run_trace_batched`` over the same segments.
 
-        ``BatchReplayer`` is an independent vectorized front end, so
-        this compares the list path against a second implementation on
+        ``BatchReplayer`` plans the whole schedule at once, so this
+        compares the per-call front end against a second one on
         identical vector hierarchies.
         """
         pair = EnginePair(engines=("vector", "vector"), **THRESHOLD_CONTEXTS[shape])
         (h1, c1), (h2, c2) = pair.sides
         config = h1.config
         for _ in range(3):
-            lengths = rng.integers(1, SMALL_TRACE + 1, size=12).tolist()
+            lengths = rng.integers(1, TINY_TRACE + 1, size=12).tolist()
             traces = [threshold_trace(rng, n, config) for n in lengths]
             per = [h1.run_trace(c1, a, w) for a, w in traces]
             bounds = np.cumsum([0] + lengths).tolist()
