@@ -258,7 +258,7 @@ class BatchReplayer:
 
         ev_frames = g_frame[g_inv]
         self.ev_plines = ev_frames * hier._lines_per_page + (ev_vlines & hier._lp_mask)
-        self.ev_homes = hier.home_table[g_frame][g_inv]
+        self.ev_homes = hier.home_table[g_frame].astype(np.int32)[g_inv]
         self.ev_mcs = hier._mc_of_region[g_frame // hier._frames_per_region][g_inv]
 
     def _events(self, lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,9 +333,6 @@ class BatchReplayer:
             results,
             self.compressed[seg_a:seg_b],
         )
-        for r in results:
-            for mc, n in r.mc_requests.items():
-                hier.controllers[mc].record_traffic(n, 0)
         return results
 
 

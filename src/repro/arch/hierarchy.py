@@ -232,7 +232,11 @@ class MemoryHierarchy:
         self._tlb: Dict[int, Union[Tlb, NativeTlb]] = {}
         self._l2: Dict[int, AnyCache] = {}
         self.shared_frames: set = set()
-        self.home_table = np.full(self.address_space.total_frames, -1, dtype=np.int32)
+        # Home slice per frame (-1: not homed yet), in the narrowest
+        # signed dtype that holds every slice id; the replay paths cast
+        # the gathered homes to int32 once per plan or trace.
+        home_dtype = np.int8 if self.mesh.n_cores <= 128 else np.int16
+        self.home_table = np.full(self.address_space.total_frames, -1, dtype=home_dtype)
         self._lines_per_page = config.page_bytes // config.line_bytes
         self._line_shift = (config.line_bytes - 1).bit_length()
         self._page_shift = (config.page_bytes - 1).bit_length()
@@ -522,8 +526,8 @@ class MemoryHierarchy:
             self._replay_scalar(
                 ctx, result, *(e.tolist() for e in events), compressed_hits
             )
-        for mc, reqs in result.mc_requests.items():
-            self.controllers[mc].record_traffic(reqs, 0)
+            for mc, reqs in result.mc_requests.items():
+                self.controllers[mc].record_traffic(reqs, 0)
         return result
 
     def _events_array(
@@ -563,7 +567,7 @@ class MemoryHierarchy:
             self._check_entitlement(frames_uniq, ctx)
         ev_frames = frames_uniq[inverse]
         ev_plines = ev_frames * self._lines_per_page + (ev_vlines & self._lp_mask)
-        ev_homes = self.home_table[ev_frames]
+        ev_homes = self.home_table[ev_frames].astype(np.int32)
         ev_mcs = self._mc_of_region[ev_frames // self._frames_per_region]
         return ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs, compressed_hits
 
@@ -758,12 +762,16 @@ class MemoryHierarchy:
         ``compressed`` gives each segment's accesses folded into runs
         (guaranteed L1 hits).  The kernel updates the arena's stats
         rows itself; the components it touched for the first time get
-        their views here.
+        their views here.  Controller traffic is recorded once per
+        controller, from the call's per-controller request totals.
         """
         seg_out, mem_out, mc_out = replay_events(
             seg_ev, seg_info, events, self._kernel_tables, group_tab, rep_sets,
         )
         self._view_touched()
+        for mc, n in enumerate(mc_out.sum(axis=0).tolist()):
+            if n:
+                self.controllers[mc].record_traffic(n, 0)
 
         ev_counts = np.diff(seg_ev).tolist()
         mem = mem_out.tolist()

@@ -11,7 +11,7 @@ never crosses the cluster boundary.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -90,8 +90,9 @@ class MeshTopology:
         r, c = divmod(core, self.cols)
         return abs(r - row) + abs(c - col) + 1
 
-    @lru_cache(maxsize=None)
-    def _distance_table_cached(self) -> Tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _distance_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(core_distances, mc_distances)``, computed once per mesh."""
         rows = np.arange(self.n_cores) // self.cols
         cols = np.arange(self.n_cores) % self.cols
         core_dist = np.abs(rows[:, None] - rows[None, :]) + np.abs(
@@ -106,12 +107,12 @@ class MeshTopology:
     @property
     def core_distances(self) -> np.ndarray:
         """[n_cores, n_cores] Manhattan hop counts."""
-        return self._distance_table_cached()[0]
+        return self._distance_tables[0]
 
     @property
     def mc_distances(self) -> np.ndarray:
         """[n_cores, n_mcs] tile-to-controller hop counts."""
-        return self._distance_table_cached()[1]
+        return self._distance_tables[1]
 
     def rows_of_cores(self, cores) -> List[int]:
         """Sorted list of distinct mesh rows covered by ``cores``."""

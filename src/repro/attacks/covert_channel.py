@@ -9,8 +9,9 @@ in any slice the sender can touch, so its observations carry no signal
 and the channel collapses to coin flips.
 
 The whole transmission is one schedule of one-line touches, planned
-once; each bit is one epoch of it, and the receiver probes the set
-between epochs (see :mod:`repro.attacks.prime_probe`).
+once; each bit is one epoch of it (its own segments, see
+:meth:`~repro.attacks.prime_probe.PrimeProbeAttack._schedule`), and
+the receiver probes the set between epochs.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class CacheCovertChannel:
             if bit:
                 touches.append((env.victim, pp._VICTIM_PAGE, self.AGREED_LINE, True))
             epochs.append(len(touches))
-        run_epoch = schedule_runner(env.hier, pp._schedule(touches))
+        segments, epochs = pp._schedule(touches, epochs)
+        run_epoch = schedule_runner(env.hier, segments)
 
         received: List[int] = []
         slice_cache = env.hier.l2_slice(home)

@@ -14,18 +14,21 @@ to a random guess, and any attempt to touch the victim's slice directly
 trips :class:`~repro.errors.CacheIsolationViolation`.
 
 Every touch is a one-line access, and the harness replays its touches
-as batched schedules, one segment per touch: the eviction-set search,
-then the prime rounds together with the victim's secret access.  The
-vector engine plans each schedule once
-(:class:`~repro.arch.batch_replay.BatchReplayer`); the scalar oracle
-replays it one :meth:`~repro.arch.hierarchy.MemoryHierarchy.run_trace`
-call per touch.  The state left behind equals a loop of one
-``run_trace`` per touch (``TestScheduleEquivalence`` in
-``tests/test_attacks.py`` keeps that loop as its reference).
+as batched schedules: the eviction-set search, then the prime rounds
+together with the victim's secret access.  A schedule's segments are
+runs of touches by one context to changing pages (see
+:meth:`PrimeProbeAttack._schedule`).  The vector engine plans each
+schedule once (:class:`~repro.arch.batch_replay.BatchReplayer`); the
+scalar oracle replays it one
+:meth:`~repro.arch.hierarchy.MemoryHierarchy.run_trace` call per
+segment.  The state left behind equals a loop of one ``run_trace`` per
+touch (``TestScheduleEquivalence`` in ``tests/test_attacks.py`` keeps
+that loop as its reference).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -84,23 +87,44 @@ class PrimeProbeAttack:
         writes = np.asarray([1 if write else 0], dtype=np.int8)
         self.env.hier.run_trace(ctx, addrs, writes)
 
-    def _schedule(self, touches: Sequence[Touch]) -> List[Segment]:
-        """One one-line segment per ``(ctx, vpage, line_in_page, write)``.
+    def _schedule(
+        self, touches: Sequence[Touch], cuts: Sequence[int] = ()
+    ) -> Tuple[List[Segment], List[int]]:
+        """Segments replaying ``touches`` as one :meth:`_touch` each would.
 
-        Replaying the segments in order is replaying the touches, one
-        :meth:`_touch` each, in that order.
+        A new segment starts where the context changes, where a touch
+        repeats the previous touch's page, and at every touch index in
+        ``cuts`` (epoch boundaries).  Inside such a segment, replay
+        differs from one call per touch only by run-length compression
+        of equal consecutive lines and by the TLB skipping a repeated
+        page, and both need the same page twice in a row.  Every page
+        must already be mapped (``ValueError`` otherwise): a merged
+        segment would allocate its new pages in one call.  Returns the
+        segments and, per cut, the index of the segment it starts.
         """
         page, line = self.env.config.page_bytes, self.env.config.line_bytes
+        cut_set = set(cuts)
+        starts: List[int] = []
+        prev_ctx, prev_page = None, None
+        for k, (ctx, vpage, _, _) in enumerate(touches):
+            if vpage not in ctx.vm.page_table:
+                raise ValueError(f"{ctx.name} page {vpage:#x} is not mapped yet")
+            if ctx is not prev_ctx or vpage == prev_page or k in cut_set:
+                starts.append(k)
+            prev_ctx, prev_page = ctx, vpage
         addrs = np.asarray([v * page + i * line for _, v, i, _ in touches], dtype=np.int64)
         writes = np.asarray([w for _, _, _, w in touches], dtype=np.int8)
-        return [
-            Segment(t[0], addrs[k : k + 1], writes[k : k + 1])
-            for k, t in enumerate(touches)
+        bounds = starts + [len(touches)]
+        segments = [
+            Segment(touches[a][0], addrs[a:b], writes[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])
         ]
+        return segments, [bisect_left(bounds, c) for c in cuts]
 
     def _replay(self, touches: Sequence[Touch]) -> None:
         """Replay ``touches`` as one schedule (see :meth:`_schedule`)."""
-        schedule_runner(self.env.hier, self._schedule(touches))(0, len(touches))
+        segments, _ = self._schedule(touches)
+        schedule_runner(self.env.hier, segments)(0, len(segments))
 
     def _frame(self, ctx, vpage: int) -> int:
         return ctx.vm.page_table[vpage]
@@ -125,7 +149,8 @@ class PrimeProbeAttack:
         The decide pass maps, homes and checks the pages one call per
         page, as a per-page :meth:`_touch` would, and skips pages that
         raise :class:`~repro.errors.CacheIsolationViolation`; the
-        replay pass then replays the kept touches as one schedule.
+        replay pass then replays the kept touches as one schedule (one
+        segment: the pages all differ).
         The state afterwards equals the per-page loop's, because replay
         reads no allocator or homing state except the touched frames'
         homes.  If anything else escapes the decide pass, the decided
@@ -149,15 +174,14 @@ class PrimeProbeAttack:
                 # One page per call: the allocator restarts its region
                 # round-robin on every call, so batching pages here
                 # would hand out different frames.
-                frames = ctx.vm.ensure_mapped([vpage])
-                hier.ensure_homed(frames, ctx)
+                frame = ctx.vm.translate(vpage)
+                hier.ensure_homed([frame], ctx)
                 if ctx.enforce:
                     try:
-                        hier._check_entitlement(frames, ctx)
+                        hier._check_entitlement([frame], ctx)
                     except CacheIsolationViolation:
                         continue
                 kept.append((ctx, vpage, 0, False))
-                frame = int(frames[0])
                 if int(hier.home_table[frame]) != home_slice:
                     continue
                 matched += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arch.batch_replay import schedule_runner
 from repro.attacks import (
     AttackEnvironment,
     CacheCovertChannel,
@@ -635,3 +636,76 @@ class TestScheduleEquivalence:
             # Pages 0-8 were decided before the raise, and replayed.
             assert l1.stats.accesses - before == 9
         assert_same_env_state(*envs)
+
+
+@pytest.mark.equivalence
+class TestScheduleSplit:
+    """``_schedule`` merges touches into page-run segments.
+
+    A segment starts at a context change, at a touch repeating the
+    previous touch's page and at every cut; the merged schedule must
+    leave exactly the per-touch loop's state.
+    """
+
+    @staticmethod
+    def _touches(env):
+        att, vic = env.attacker, env.victim
+        a, b, c = (PrimeProbeAttack._ATTACKER_PAGE_BASE + i for i in range(3))
+        v = PrimeProbeAttack._VICTIM_PAGE
+        return [
+            (att, a, 0, False),
+            (att, b, 0, False),
+            (att, b, 0, False),  # same line again: a new segment
+            (att, b, 5, True),  # same page, new line: a new segment
+            (vic, v, 3, True),  # context switch
+            (att, a, 1, False),  # and back
+            (att, c, 0, False),
+            (att, a, 2, False),  # a cut (index 7)
+            (att, b, 1, False),
+            (vic, v, 3, False),
+        ]
+
+    CUTS = (0, 7, 10)
+
+    @staticmethod
+    def _map_pages(attack, touches):
+        for ctx, vpage, _, _ in touches:
+            if vpage not in ctx.vm.page_table:
+                attack._touch(ctx, vpage)
+
+    def test_segment_count(self):
+        env = AttackEnvironment.build("sgx")
+        attack = PrimeProbeAttack(env)
+        touches = self._touches(env)
+        self._map_pages(attack, touches)
+        segments, cuts = attack._schedule(touches, self.CUTS)
+        assert [len(s.addrs) for s in segments] == [2, 1, 1, 1, 2, 2, 1]
+        assert [s.ctx is env.victim for s in segments] == [
+            False, False, False, True, False, False, True,
+        ]
+        assert cuts == [0, 5, 7]
+        assert attack._schedule([], (0, 0)) == ([], [0, 0])
+
+    @pytest.mark.parametrize("engine", TestScheduleEquivalence.ENGINES)
+    @pytest.mark.parametrize("model", ISOLATION_MODELS)
+    def test_merged_schedule_matches_per_touch(self, model, engine):
+        merged, per_touch = env_pair(model, engine)
+        attacks = PrimeProbeAttack(merged), PrimeProbeAttack(per_touch)
+        for env, attack in zip((merged, per_touch), attacks):
+            self._map_pages(attack, self._touches(env))
+        segments, cuts = attacks[0]._schedule(self._touches(merged), self.CUTS)
+        run_epoch = schedule_runner(merged.hier, segments)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            run_epoch(a, b)
+        for ctx, vpage, line, write in self._touches(per_touch):
+            attacks[1]._touch(ctx, vpage, line, write)
+        assert_same_env_state(merged, per_touch)
+
+    def test_unmapped_page_raises(self):
+        env = AttackEnvironment.build("sgx")
+        attack = PrimeProbeAttack(env)
+        touch = (env.attacker, PrimeProbeAttack._ATTACKER_PAGE_BASE, 0, False)
+        with pytest.raises(ValueError, match="not mapped"):
+            attack._schedule([touch])
+        attack._touch(env.attacker, touch[1])
+        assert len(attack._schedule([touch])[0]) == 1

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.address import VirtualMemory
+from repro.arch.batch_replay import BatchReplayer, Segment
 from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
+from repro.arch.native import native_available
 from repro.config import SystemConfig
 from repro.errors import CacheIsolationViolation, MemoryIsolationViolation
 
@@ -125,6 +127,30 @@ class TestHoming:
         hier.run_trace(ctx, seq_trace(4, stride=4096))
         assert len(hier.frames_homed_in([4])) == 4
         assert hier.frames_homed_in([5]) == []
+
+
+class TestHomeTable:
+    """The home table uses the narrowest signed dtype for the slice ids."""
+
+    def test_int8_up_to_128_tiles(self):
+        assert MemoryHierarchy(SystemConfig.evaluation()).home_table.dtype == np.int8
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_int16_above_128_tiles(self, engine):
+        config = SystemConfig.small(12, 12).with_engine(engine)
+        hier, ctx = make_env(config, slices=[143], regions=[0])
+        assert hier.home_table.dtype == np.int16
+        res = hier.run_trace(ctx, seq_trace(8, stride=4096))
+        frames = list(ctx.vm.page_table.values())
+        assert [int(hier.home_table[f]) for f in frames] == [143] * 8
+        assert hier.l2_slice(143).stats.misses == res.l2_misses == 8
+
+    @pytest.mark.skipif(not native_available(), reason="needs the compiled kernels")
+    def test_batched_homes_gathered_as_int32(self):
+        hier, ctx = make_env(SystemConfig.evaluation().with_engine("vector"))
+        replayer = BatchReplayer(hier, [Segment(ctx, seq_trace(16, stride=1024))])
+        assert replayer.ev_homes.dtype == np.int32
+        assert hier.home_table.dtype == np.int8
 
 
 class TestIsolation:

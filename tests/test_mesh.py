@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,3 +94,15 @@ class TestControllers:
 
     def test_rows_of_cores(self, mesh):
         assert mesh.rows_of_cores([0, 1, 9, 63]) == [0, 1, 7]
+
+    def test_dropped_mesh_is_collected(self):
+        """The distance tables are cached on the mesh itself, so a
+        mesh nobody holds is freed (a cache keyed on ``self`` would
+        keep every mesh ever built alive)."""
+        mesh = MeshTopology(4, 4, 2)
+        assert mesh.core_distances[0][15] == 6
+        assert mesh.mc_distances is mesh.mc_distances
+        ref = weakref.ref(mesh)
+        del mesh
+        gc.collect()
+        assert ref() is None

@@ -119,6 +119,7 @@ class EnginePair:
             hv.tlb_for(cv.rep_core)
         )
         assert (cs._replicated or set()) == (cv._replicated or set())
+        assert [mc.stats for mc in hs.controllers] == [mc.stats for mc in hv.controllers]
 
 
 def random_trace(rng, n, span=1 << 19, run_prob=0.5, write_frac=0.4):
