@@ -1,16 +1,21 @@
-"""Interaction-batched trace replay over a schedule of segments.
+"""The vector engine's front end: trace replay over a schedule of segments.
 
-The per-call replay path (:meth:`MemoryHierarchy.run_trace`) pays fixed
-Python overhead per invocation: argument conversion, run-length
-compression, translation, homing and entitlement checks.  Figure runs
-issue six such calls per interaction (two workload traces and four IPC
-transfers), so for the short interactive traces the paper evaluates,
-per-call overhead dominates end-to-end wall time.
+Every vector replay is planned here.  A figure run plans its whole
+schedule at once; a per-call
+:meth:`~repro.arch.hierarchy.MemoryHierarchy.run_trace` is a schedule
+of one segment, and calibration a schedule of two.  Planning a run
+together matters because each replay pays fixed Python overhead
+(argument conversion, run-length compression, translation, homing and
+entitlement checks), and figure runs issue six replays per interaction
+(two workload traces and four IPC transfers) of the short interactive
+traces the paper evaluates.  The scalar oracle keeps a front end of
+its own (:meth:`~repro.arch.hierarchy.MemoryHierarchy._oracle_events`),
+so the equivalence gates compare two independent implementations of
+compression and translation.
 
-:class:`BatchReplayer` removes that overhead by planning a whole run at
-once.  A *schedule* is an ordered list of :class:`Segment`\\ s — each one
-the exact address stream a per-call replay would have been handed, with
-the context it would have run under.  The plan phase performs, once
+A *schedule* is an ordered list of :class:`Segment`\\ s — each one the
+exact address stream a per-call replay would have been handed, with the
+context it would have run under.  :class:`BatchReplayer` performs, once
 over the entire schedule:
 
 * run-length compression (reset at segment starts, so the event list is
@@ -41,7 +46,8 @@ Purge events (MI6's per-crossing flushes) act as epoch barriers: the
 machine replays up to the barrier, applies the purge against the live
 cache state, and continues.
 
-The result is bit-identical to calling :meth:`run_trace` once per
+The result is bit-identical to the scalar oracle's
+:meth:`~repro.arch.hierarchy.MemoryHierarchy.run_trace` called once per
 segment in schedule order: identical :class:`TraceResult` counters,
 identical cache/TLB contents and stats, and identical replica
 bookkeeping.  ``tests/test_replay_equivalence.py`` enforces this both
@@ -68,7 +74,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.arch.hierarchy import MemoryHierarchy, ProcessContext, TraceResult
-from repro.arch.native import first_touch
+from repro.arch.native import first_touch, replay_events
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.bundle import TraceBundle
@@ -195,8 +201,8 @@ class BatchReplayer:
         self._rep_sets = list(rep_sets.values())
         self.group_tab = np.asarray([
             v for ctx in self.group_ctx
-            for v in hier.group_row(ctx, slot.get(id(ctx._replicated), -1)
-                                    if ctx.replication else -1)
+            for v in _group_row(hier, ctx, slot.get(id(ctx._replicated), -1)
+                                if ctx.replication else -1)
         ], dtype=np.int64)
 
         if total == 0:
@@ -317,22 +323,43 @@ class BatchReplayer:
         """Replay segments ``[seg_a, seg_b)``; returns one result each.
 
         Epochs must be invoked in order and cover the schedule exactly
-        once; purges/flushes may only happen between epochs.
+        once; purges/flushes may only happen between epochs.  The epoch
+        is one :func:`~repro.arch.native.replay_events` call, which
+        updates the arena's stats rows itself; the components it
+        touched for the first time get their views here.  Controller
+        traffic is recorded once per controller, from the call's
+        per-controller request totals.
         """
         hier = self.hier
         results = [TraceResult(accesses=n) for n in self.seg_lens[seg_a:seg_b].tolist()]
-        if self.seg_ev_start[seg_a] == self.seg_ev_start[seg_b]:
+        seg_ev = self.seg_ev_start[seg_a : seg_b + 1]
+        if seg_ev[0] == seg_ev[-1]:
             return results
 
-        hier.replay_segments(
-            self.seg_ev_start[seg_a : seg_b + 1],
+        seg_out, mem_out, mc_out = replay_events(
+            seg_ev,
             self.seg_info[2 * seg_a : 2 * seg_b],
             (self.ev_vpages, self.ev_writes, self.ev_plines, self.ev_homes, self.ev_mcs),
+            hier._kernel_tables,
             self.group_tab,
             self._rep_sets,
-            results,
-            self.compressed[seg_a:seg_b],
         )
+        hier._view_touched()
+        for mc, n in enumerate(mc_out.sum(axis=0).tolist()):
+            if n:
+                hier.controllers[mc].record_traffic(n, 0)
+
+        ev_counts = np.diff(seg_ev).tolist()
+        mem = mem_out.tolist()
+        compressed = self.compressed[seg_a:seg_b]
+        for k, row in enumerate(seg_out.tolist()):
+            r = results[k]
+            (r.tlb_misses, r.l1_misses, r.l1_writebacks,
+             r.l2_hits, r.l2_misses, r.l2_writebacks) = row
+            r.l1_hits = ev_counts[k] - row[1] + compressed[k]
+            r.mem_cycles = int(mem[k])
+            if row[4]:
+                r.mc_requests = {mc: n for mc, n in enumerate(mc_out[k].tolist()) if n}
         return results
 
 
@@ -355,6 +382,24 @@ def schedule_runner(
         return [hier.run_trace(s.ctx, s.addrs, s.writes) for s in segments[seg_a:seg_b]]
 
     return run_epoch
+
+
+def _group_row(hier: MemoryHierarchy, ctx: ProcessContext, rep: int) -> List[int]:
+    """``ctx``'s row of the kernel's group table.
+
+    The addresses of its cluster-average core distances and of its
+    controller distances (NUMA-nearest or region-bound), then ``rep``:
+    the index of its replica set in the call, or -1.  The distance
+    arrays are cached on the hierarchy, which keeps them alive while
+    the kernel reads them.
+    """
+    cores = tuple(ctx.cores)
+    d_core = hier._avg_dist_arrays.get(cores)
+    if d_core is None:
+        d_core = np.asarray(hier._avg_core_distances(cores), dtype=np.float64)
+        hier._avg_dist_arrays[cores] = d_core
+    d_mc = hier._d_mc_tabs[1 if ctx.numa_mc else 0]
+    return [d_core.ctypes.data, d_mc.ctypes.data, rep]
 
 
 def _runs(keys: np.ndarray) -> List[Tuple[int, int]]:

@@ -36,14 +36,24 @@ once per hierarchy, which one actually runs:
     per event, exactly as a hardware walk would order them.
 
 ``vector``
-    The compiled engine.  Run-length compression, translation and
-    homing run in NumPy; the events then replay through the fused
-    :func:`repro.arch.native.replay_events` kernel — the oracle's
-    per-event rule, compiled, over the hierarchy's
+    The compiled engine.  Every trace, per call or batched, is planned
+    by :class:`repro.arch.batch_replay.BatchReplayer` (run-length
+    compression, translation and homing in NumPy) and replays through
+    the fused :func:`repro.arch.native.replay_events` kernel — the
+    oracle's per-event rule, compiled, over the hierarchy's
     :class:`repro.arch.native.StateArena`, which holds every cache and
-    TLB from construction on — in one call per trace (or per batched
-    epoch, see :mod:`repro.arch.batch_replay`).  Without a C toolchain
-    a ``vector`` configuration runs the scalar oracle instead.
+    TLB from construction on — in one call per trace or batched epoch.
+    Without a C toolchain a ``vector`` configuration runs the scalar
+    oracle instead.
+
+Each engine has its own front end: the oracle's is
+:meth:`MemoryHierarchy._oracle_events`, the vector engine's is
+``BatchReplayer._plan``.  They share only the model's rules —
+allocation (:meth:`~repro.arch.address.VirtualMemory.ensure_mapped`),
+homing (:meth:`MemoryHierarchy.ensure_homed`) and entitlement — so a
+compression or translation bug on either side shows up as an engine
+mismatch.  The kernel's call layout (segment table, group table) lives
+in :mod:`repro.arch.batch_replay` alone.
 
 Both engines produce bit-identical :class:`TraceResult` counters, cache
 contents and stats; the equivalence suite in
@@ -73,7 +83,6 @@ from repro.arch.native import (
     NativeTlb,
     StateArena,
     native_available,
-    replay_events,
 )
 from repro.arch.tlb import Tlb
 from repro.config import SystemConfig
@@ -501,75 +510,34 @@ class MemoryHierarchy:
         The replay implementation is the resolved :attr:`engine`; both
         engines return identical counters.
 
-        Both engines share the NumPy front end (:meth:`_events_array`);
-        the vector engine then makes one call of the fused
-        ``replay_events`` kernel, the scalar oracle runs its per-event
-        loop.  Callers with many tiny traces (the attack harness
-        touches one line at a time) replay them as one schedule
-        instead, through :meth:`run_trace_batched` or
+        Each engine has its own front end.  The vector engine replays
+        the trace as a one-segment
+        :class:`~repro.arch.batch_replay.BatchReplayer` schedule; the
+        scalar oracle compresses, translates and homes it in
+        :meth:`_oracle_events`, then runs its per-event loop.  Callers
+        with many tiny traces (the attack harness touches one line at a
+        time) replay them as one schedule instead, through
+        :meth:`run_trace_batched` or
         :func:`~repro.arch.batch_replay.schedule_runner`, because the
         fixed cost per call outweighs the work of a few events.
         """
-        result = TraceResult()
-        n = len(addrs)
-        if n == 0:
-            return result
-        result.accesses = n
+        if len(addrs) == 0:
+            return TraceResult()
+        if self.engine == "vector":
+            from repro.arch.batch_replay import BatchReplayer, Segment
+
+            return BatchReplayer(self, [Segment(ctx, addrs, writes)]).run_epoch(0, 1)[0]
 
         if ctx.replication:
             self._replica_refs[id(ctx)] = weakref.ref(ctx)
-
-        *events, compressed_hits = self._events_array(ctx, addrs, writes)
-        if self.engine == "vector":
-            self._replay_vector(ctx, result, *events, compressed_hits)
-        else:
-            self._replay_scalar(
-                ctx, result, *(e.tolist() for e in events), compressed_hits
-            )
-            for mc, reqs in result.mc_requests.items():
-                self.controllers[mc].record_traffic(reqs, 0)
+        result = TraceResult(accesses=len(addrs))
+        *events, compressed_hits = self._oracle_events(ctx, addrs, writes)
+        self._replay_scalar(
+            ctx, result, *(e.tolist() for e in events), compressed_hits
+        )
+        for mc, reqs in result.mc_requests.items():
+            self.controllers[mc].record_traffic(reqs, 0)
         return result
-
-    def _events_array(
-        self,
-        ctx: ProcessContext,
-        addrs: np.ndarray,
-        writes: Optional[np.ndarray],
-    ) -> tuple:
-        """NumPy front end: run-length compression, translation, homing.
-
-        Returns ``(vpages, writes, plines, homes, mcs)`` per line-change
-        event, as arrays, followed by the count of accesses folded into
-        runs (guaranteed L1 hits).
-        """
-        n = len(addrs)
-        vlines = addrs >> self._line_shift
-        if writes is None:
-            writes = np.zeros(n, dtype=np.int8)
-        else:
-            writes = writes.astype(np.int8, copy=False)
-
-        # Run-length compression: only line-change events are simulated.
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(vlines[1:], vlines[:-1], out=change[1:])
-        idx = np.flatnonzero(change)
-        ev_vlines = vlines[idx]
-        ev_writes = np.maximum.reduceat(writes, idx)
-        compressed_hits = n - len(idx)  # guaranteed L1 hits inside runs
-
-        # Translation (per unique page) and homing.
-        ev_vpages = ev_vlines >> self._lp_shift
-        uniq_pages, inverse = np.unique(ev_vpages, return_inverse=True)
-        frames_uniq = ctx.vm.ensure_mapped(uniq_pages)
-        self.ensure_homed(frames_uniq, ctx)
-        if ctx.enforce:
-            self._check_entitlement(frames_uniq, ctx)
-        ev_frames = frames_uniq[inverse]
-        ev_plines = ev_frames * self._lines_per_page + (ev_vlines & self._lp_mask)
-        ev_homes = self.home_table[ev_frames].astype(np.int32)
-        ev_mcs = self._mc_of_region[ev_frames // self._frames_per_region]
-        return ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs, compressed_hits
 
     def run_trace_batched(
         self,
@@ -608,6 +576,47 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Scalar engine (reference oracle)
     # ------------------------------------------------------------------
+    def _oracle_events(
+        self,
+        ctx: ProcessContext,
+        addrs: np.ndarray,
+        writes: Optional[np.ndarray],
+    ) -> tuple:
+        """The oracle's front end: run-length compression, translation, homing.
+
+        Returns ``(vpages, writes, plines, homes, mcs)`` per line-change
+        event, as arrays, followed by the count of accesses folded into
+        runs (guaranteed L1 hits).
+        """
+        n = len(addrs)
+        vlines = addrs >> self._line_shift
+        if writes is None:
+            writes = np.zeros(n, dtype=np.int8)
+        else:
+            writes = writes.astype(np.int8, copy=False)
+
+        # Run-length compression: only line-change events are simulated.
+        change = np.empty(n, dtype=bool)
+        change[0] = True
+        np.not_equal(vlines[1:], vlines[:-1], out=change[1:])
+        idx = np.flatnonzero(change)
+        ev_vlines = vlines[idx]
+        ev_writes = np.maximum.reduceat(writes, idx)
+        compressed_hits = n - len(idx)  # guaranteed L1 hits inside runs
+
+        # Translation (per unique page) and homing.
+        ev_vpages = ev_vlines >> self._lp_shift
+        uniq_pages, inverse = np.unique(ev_vpages, return_inverse=True)
+        frames_uniq = ctx.vm.ensure_mapped(uniq_pages)
+        self.ensure_homed(frames_uniq, ctx)
+        if ctx.enforce:
+            self._check_entitlement(frames_uniq, ctx)
+        ev_frames = frames_uniq[inverse]
+        ev_plines = ev_frames * self._lines_per_page + (ev_vlines & self._lp_mask)
+        ev_homes = self.home_table[ev_frames].astype(np.int32)
+        ev_mcs = self._mc_of_region[ev_frames // self._frames_per_region]
+        return ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs, compressed_hits
+
     def _replay_scalar(
         self,
         ctx: ProcessContext,
@@ -703,86 +712,6 @@ class MemoryHierarchy:
         result.l2_writebacks = sum(
             self._l2[t].stats.delta(snap).writebacks for t, snap in l2_snaps.items()
         )
-
-    # ------------------------------------------------------------------
-    # Vector engine (the fused kernel)
-    # ------------------------------------------------------------------
-    def _replay_vector(
-        self,
-        ctx: ProcessContext,
-        result: TraceResult,
-        ev_vpages: np.ndarray,
-        ev_writes: np.ndarray,
-        ev_plines: np.ndarray,
-        ev_homes: np.ndarray,
-        ev_mcs: np.ndarray,
-        compressed_hits: int,
-    ) -> None:
-        """One trace as a one-segment :meth:`replay_segments` call."""
-        rep_sets = [ctx._replicated] if ctx.replication else []
-        self.replay_segments(
-            np.asarray([0, len(ev_plines)], dtype=np.int64),
-            np.asarray([ctx.rep_core, 0], dtype=np.int64),
-            (ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs),
-            np.asarray(self.group_row(ctx, 0 if rep_sets else -1), dtype=np.int64),
-            rep_sets,
-            [result],
-            [compressed_hits],
-        )
-
-    def group_row(self, ctx: ProcessContext, rep: int) -> List[int]:
-        """``ctx``'s row of the kernel's group table.
-
-        The addresses of its cluster-average core distances and of its
-        controller distances (NUMA-nearest or region-bound), then
-        ``rep``: the index of its replica set in the call, or -1.
-        """
-        cores = tuple(ctx.cores)
-        d_core = self._avg_dist_arrays.get(cores)
-        if d_core is None:
-            d_core = np.asarray(self._avg_core_distances(cores), dtype=np.float64)
-            self._avg_dist_arrays[cores] = d_core
-        d_mc = self._d_mc_tabs[1 if ctx.numa_mc else 0]
-        return [d_core.ctypes.data, d_mc.ctypes.data, rep]
-
-    def replay_segments(
-        self,
-        seg_ev: np.ndarray,
-        seg_info: np.ndarray,
-        events: tuple,
-        group_tab: np.ndarray,
-        rep_sets: List[set],
-        results: List[TraceResult],
-        compressed: Sequence[int],
-    ) -> None:
-        """Replay segments in one fused kernel call; fills their results.
-
-        The arguments are :func:`~repro.arch.native.replay_events`'s,
-        ``group_tab`` holding one :meth:`group_row` per group.
-        ``compressed`` gives each segment's accesses folded into runs
-        (guaranteed L1 hits).  The kernel updates the arena's stats
-        rows itself; the components it touched for the first time get
-        their views here.  Controller traffic is recorded once per
-        controller, from the call's per-controller request totals.
-        """
-        seg_out, mem_out, mc_out = replay_events(
-            seg_ev, seg_info, events, self._kernel_tables, group_tab, rep_sets,
-        )
-        self._view_touched()
-        for mc, n in enumerate(mc_out.sum(axis=0).tolist()):
-            if n:
-                self.controllers[mc].record_traffic(n, 0)
-
-        ev_counts = np.diff(seg_ev).tolist()
-        mem = mem_out.tolist()
-        for k, row in enumerate(seg_out.tolist()):
-            r = results[k]
-            (r.tlb_misses, r.l1_misses, r.l1_writebacks,
-             r.l2_hits, r.l2_misses, r.l2_writebacks) = row
-            r.l1_hits = ev_counts[k] - row[1] + compressed[k]
-            r.mem_cycles = int(mem[k])
-            if row[4]:
-                r.mc_requests = {mc: n for mc, n in enumerate(mc_out[k].tolist()) if n}
 
     def _avg_core_distances(self, cores: tuple) -> list:
         """Per-slice hop count averaged over the given cores (cached).

@@ -30,10 +30,11 @@ channel, NoC probe, Spectre).  Two go beyond the paper's evaluation:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.arch.batch_replay import Segment, schedule_runner
 from repro.arch.noc import Packet
 from repro.arch.routing import route_xy
 from repro.attacks.analysis import (
@@ -167,26 +168,21 @@ def run_spectre(
     }
 
 
-def _purge_sample(env: AttackEnvironment, bit: int) -> float:
-    """One purge-timing observation for one transmitted symbol.
+def _purge_addrs(config: SystemConfig, bit: int) -> np.ndarray:
+    """The sender's writes for one symbol: its first ``_PURGE_FOOTPRINT[bit]`` lines."""
+    i = np.arange(_PURGE_FOOTPRINT[int(bit)], dtype=np.int64)
+    lines_per_page = config.page_bytes // config.line_bytes
+    return (i // lines_per_page) * config.page_bytes + (i % lines_per_page) * config.line_bytes
 
-    The sender dirties ``_PURGE_FOOTPRINT[bit]`` lines of its own
-    memory, then the domain crossing happens.  On MI6 the crossing
-    purges, and the observable cost is the controller drain, which
-    scales with the dirty footprint.  Every other model crosses at a
-    footprint-independent cost, so the observation carries no signal.
+
+def _observe_crossing(env: AttackEnvironment) -> float:
+    """The receiver's observation of one domain crossing.
+
+    On MI6 the crossing purges, and the observable cost is the
+    controller drain, which scales with the sender's dirty footprint.
+    Every other model crosses at a footprint-independent cost, so the
+    observation carries no signal.
     """
-    lines = _PURGE_FOOTPRINT[int(bit)]
-    lines_per_page = env.config.page_bytes // env.config.line_bytes
-    addrs = np.asarray(
-        [
-            (i // lines_per_page) * env.config.page_bytes
-            + (i % lines_per_page) * env.config.line_bytes
-            for i in range(lines)
-        ],
-        dtype=np.int64,
-    )
-    env.hier.run_trace(env.victim, addrs, np.ones(lines, dtype=np.int8))
     pol = env.policy
     if pol.schedule == "crossing" and pol.drain_controllers:
         # The crossing flushes through the memory controllers (MI6's
@@ -211,6 +207,26 @@ def _purge_sample(env: AttackEnvironment, bit: int) -> float:
     return 0.0
 
 
+def _purge_samples(env: AttackEnvironment, symbols: Sequence[int]) -> List[float]:
+    """One purge-timing observation per transmitted symbol.
+
+    Per symbol the sender dirties its footprint of its own memory, then
+    the domain crossing happens.  The sender's writes are one schedule,
+    planned once; each symbol is one epoch of it, and the crossing
+    happens between epochs.
+    """
+    addrs = {bit: _purge_addrs(env.config, bit) for bit in _PURGE_FOOTPRINT}
+    run_epoch = schedule_runner(env.hier, [
+        Segment(env.victim, addrs[bit], np.ones(len(addrs[bit]), dtype=np.int8))
+        for bit in symbols
+    ])
+    samples = []
+    for k in range(len(symbols)):
+        run_epoch(k, k + 1)
+        samples.append(_observe_crossing(env))
+    return samples
+
+
 def run_purge_timing(
     model: str, config: SystemConfig, scale: float, seed: int
 ) -> Dict[str, object]:
@@ -220,10 +236,8 @@ def run_purge_timing(
     bits = [int(b) for b in rng.integers(0, 2, size=n_bits)]
     env = AttackEnvironment.build(model, config)
     # The receiver calibrates with one known symbol of each value.
-    zero_cal = [_purge_sample(env, 0)]
-    one_cal = [_purge_sample(env, 1)]
-    samples = [_purge_sample(env, bit) for bit in bits]
-    received = classify_by_threshold(zero_cal, one_cal, samples)
+    zero_cal, one_cal, *samples = _purge_samples(env, [0, 1] + bits)
+    received = classify_by_threshold([zero_cal], [one_cal], samples)
     ber = bit_error_rate(bits, received)
     return {
         "bits": n_bits,

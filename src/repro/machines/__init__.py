@@ -16,8 +16,10 @@
 derives its machine list from — the single source of truth for what
 exists.  The ``machines.*`` static-analysis rule checks that the docs
 tables list every registered machine; ``TestRegistryCoverage`` in
-``tests/test_machines.py`` pins the figure grids, the golden curves and
-the model-audit manifest to the registry.
+``tests/test_machines.py`` checks that every scalar-vs-vector gate
+covers every registered machine; the golden tests fail when the golden
+grids and the registry disagree; and ``keys.model-version-audit``
+reports a ``machines/`` module missing from the model-audit manifest.
 Each machine's flush behaviour lives in its
 :class:`~repro.machines.policy.PurgePolicy`; :func:`machine_policy`
 exposes the registered default so the sweep store keys and the attack

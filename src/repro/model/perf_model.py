@@ -23,15 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-import numpy as np
-
 from repro.arch.address import VirtualMemory
-from repro.arch.hierarchy import (
-    MemoryHierarchy,
-    ProcessContext,
-    TraceResult,
-    resolve_engine,
-)
+from repro.arch.batch_replay import BatchReplayer, Segment
+from repro.arch.hierarchy import MemoryHierarchy, ProcessContext, resolve_engine
 from repro.config import SystemConfig
 from repro.model.speedup import ScalabilityProfile
 from repro.sim.trace import Trace
@@ -57,13 +51,12 @@ def calibrate_l2_curve(
     hierarchy (the reference oracle, :func:`calibrate_l2_curve_oracle`).
     Under the vector engine (as resolved by
     :func:`~repro.arch.hierarchy.resolve_engine`) every probe shares one
-    scratch hierarchy.  Each window is compressed and translated once,
-    because the page table never depends on the slice count.  Per probe
-    the caches and TLB are invalidated, the windows' frames re-homed
-    over ``k`` slices in the oracle's order, and both windows replayed
-    as two segments of one fused-kernel call
-    (:meth:`~repro.arch.hierarchy.MemoryHierarchy.replay_segments`).
-    Both paths are bit-identical per probe — enforced by
+    scratch hierarchy.  Before each probe its caches and TLBs are
+    invalidated and the probe's frames lose their homes; the probe is
+    then one two-segment schedule (warm, then measure) through a
+    :class:`~repro.arch.batch_replay.BatchReplayer`, which re-homes the
+    frames over ``k`` slices in the oracle's order.  Both paths are
+    bit-identical per probe — enforced by
     ``tests/test_replay_equivalence.py``.
     """
     for k in slice_counts:
@@ -78,58 +71,33 @@ def calibrate_l2_curve(
 
     hier = MemoryHierarchy(config)
     vm = VirtualMemory("probe", hier.address_space, list(range(config.mem.n_regions)))
-
-    def probe_ctx(k: int) -> ProcessContext:
-        return ProcessContext(
-            "probe",
-            "insecure",
-            vm,
-            cores=[0],
-            slices=list(range(k)),
-            controllers=list(range(config.mem.n_controllers)),
-            homing="local",
-            enforce=False,
-        )
-
-    # Compression and translation, once per window in the oracle's
-    # call order; the homes they assign are replaced per probe.
-    ctx = probe_ctx(1)
-    events, compressed, window_frames = [], [], []
-    for trace in (warm_trace, measure_trace):
-        if len(trace):
-            *ev, hits = hier._events_array(ctx, trace.addrs, trace.writes)
-            window_frames.append(vm.ensure_mapped(np.unique(ev[0])))
-        else:
-            ev, hits = [np.empty(0, dtype=np.int64)] * 5, 0
-        events.append(ev)
-        compressed.append(hits)
-    vpages, writes, plines, _, mcs = (np.concatenate(col) for col in zip(*events))
-    ev_frames = plines >> hier._lp_shift
-    seg_ev = np.asarray([0, len(events[0][0]), len(plines)], dtype=np.int64)
-    seg_info = np.zeros(4, dtype=np.int64)  # both windows: core 0, group 0
-    group_tab = np.asarray(hier.group_row(ctx, -1), dtype=np.int64)
-    l1, tlb = hier.l1_for(0), hier.tlb_for(0)
-
     results = {}
     for k in slice_counts:
         # A flushed cache or TLB replays bit-identically to a fresh one:
         # empty ways fill before any eviction, and only the relative
-        # order of the LRU stamps matters.
-        for part in (l1, tlb, *hier._l2.values()):
+        # order of the LRU stamps matters.  The page table is kept: a
+        # fresh one would allocate the same frames in the same order.
+        for part in (*hier._l1.values(), *hier._tlb.values(), *hier._l2.values()):
             part.invalidate_all()
-        hier.home_table[ev_frames] = -1
-        ctx = probe_ctx(k)
-        for frames in window_frames:
-            hier.ensure_homed(frames, ctx)
-        warm, measure = TraceResult(), TraceResult()
-        hier.replay_segments(
-            seg_ev, seg_info,
-            (vpages, writes, plines, hier.home_table[ev_frames], mcs),
-            group_tab, [], [warm, measure], compressed,
-        )
-        measure.accesses = len(measure_trace)
-        results[k] = measure
+        hier.home_table[vm.mapped_frames] = -1
+        ctx = _probe_ctx(config, vm, k)
+        windows = [Segment(ctx, t.addrs, t.writes) for t in (warm_trace, measure_trace)]
+        results[k] = BatchReplayer(hier, windows).run_epoch(0, 2)[1]
     return results
+
+
+def _probe_ctx(config: SystemConfig, vm: VirtualMemory, k: int) -> ProcessContext:
+    """The calibration probe's context: one core, the first ``k`` slices."""
+    return ProcessContext(
+        "probe",
+        "insecure",
+        vm,
+        cores=[0],
+        slices=list(range(k)),
+        controllers=list(range(config.mem.n_controllers)),
+        homing="local",
+        enforce=False,
+    )
 
 
 def calibrate_l2_curve_oracle(
@@ -143,16 +111,7 @@ def calibrate_l2_curve_oracle(
     for k in slice_counts:
         hier = MemoryHierarchy(config)
         vm = VirtualMemory("probe", hier.address_space, list(range(config.mem.n_regions)))
-        ctx = ProcessContext(
-            "probe",
-            "insecure",
-            vm,
-            cores=[0],
-            slices=list(range(k)),
-            controllers=list(range(config.mem.n_controllers)),
-            homing="local",
-            enforce=False,
-        )
+        ctx = _probe_ctx(config, vm, k)
         hier.run_trace(ctx, warm_trace.addrs, warm_trace.writes)
         results[k] = hier.run_trace(ctx, measure_trace.addrs, measure_trace.writes)
     return results

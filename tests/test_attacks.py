@@ -549,9 +549,10 @@ def env_pair(model, engine):
 class TestScheduleEquivalence:
     """The harnesses' batched schedules leave exactly the per-touch state.
 
-    ``build_eviction_sets``, ``run`` and ``transmit`` replay their
-    touches as planned schedules; the references above are the
-    one-``run_trace``-per-touch loops the schedules replace.  Results,
+    ``build_eviction_sets``, ``run``, ``transmit`` and the purge-timing
+    sender replay their touches as planned schedules; the references
+    are the one-``run_trace``-per-touch (or per-sample) loops the
+    schedules replace.  Results,
     page tables, the frame allocator, homing cursors and table, every
     cache and TLB (entries and stats) and controller traffic must match
     on both engines.
@@ -579,6 +580,24 @@ class TestScheduleEquivalence:
         )
         assert got == want
         assert_same_env_state(batched, per_touch)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("model", ISOLATION_MODELS)
+    def test_purge_timing_samples(self, model, engine):
+        from repro.attacks.scenarios import _observe_crossing, _purge_addrs, _purge_samples
+
+        symbols = [0, 1, 1, 0, 1, 0, 0, 1]
+        batched, per_sample = env_pair(model, engine)
+        got = _purge_samples(batched, symbols)
+        want = []
+        for bit in symbols:
+            addrs = _purge_addrs(per_sample.config, bit)
+            per_sample.hier.run_trace(
+                per_sample.victim, addrs, np.ones(len(addrs), dtype=np.int8)
+            )
+            want.append(_observe_crossing(per_sample))
+        assert got == want
+        assert_same_env_state(batched, per_sample)
 
     @staticmethod
     def _victim_home(env, attack):

@@ -377,10 +377,11 @@ THRESHOLD_CONTEXTS = {
 class TestSmallTraceThreshold:
     """Tiny per-call traces on the vector engine against the scalar oracle.
 
-    Every vector ``run_trace`` call, one access or thousands, takes the
-    NumPy front end and one ``replay_events`` kernel call.  Tiny traces
-    stress its edge cases (single events, runs, page steps both ways);
-    they must match the oracle on a shared, evolving state.
+    Every vector ``run_trace`` call, one access or thousands, is a
+    one-segment ``BatchReplayer`` plan and one ``replay_events`` kernel
+    call.  Tiny traces stress its edge cases (single events, runs, page
+    steps both ways); they must match the oracle on a shared, evolving
+    state.
     """
 
     @pytest.mark.parametrize("shape", sorted(THRESHOLD_CONTEXTS))
@@ -397,36 +398,60 @@ class TestSmallTraceThreshold:
             pair.purge()
             pair.assert_same_state()
 
-    def test_dispatch_boundary(self, rng):
+    def test_dispatch_boundary(self, rng, monkeypatch):
+        """Each engine takes its own front end, at every length.
+
+        Scalar ``run_trace`` compresses and translates in
+        ``_oracle_events``; vector ``run_trace`` and vector calibration
+        are ``BatchReplayer`` plans and epochs that never reach the
+        oracle's front end, so the engine-pair gates compare two
+        independent implementations.
+        """
         if not native_available():
             pytest.skip("compiled kernels unavailable")
-        pair = EnginePair()
-        hv, cv = pair.sides[1]
-        assert hv.engine == "vector"
+        from repro.arch.batch_replay import BatchReplayer
+        from repro.model.perf_model import calibrate_l2_curve
+        from repro.sim.trace import Trace
+
         taken = []
 
-        def spy(name, method):
-            def wrapped(*args):
-                taken.append(name)
-                return method(*args)
-            return wrapped
+        def spy(owner, name, label):
+            method = getattr(owner, name)
 
-        hv._events_array = spy("numpy", hv._events_array)
-        hv._replay_scalar = spy("loop", hv._replay_scalar)
-        hv._replay_vector = spy("kernel", hv._replay_vector)
+            def wrapped(*args, **kwargs):
+                taken.append(label)
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(MemoryHierarchy, "_oracle_events", "oracle")
+        spy(MemoryHierarchy, "_replay_scalar", "loop")
+        spy(BatchReplayer, "_plan", "plan")
+        spy(BatchReplayer, "run_epoch", "epoch")
+        pair = EnginePair()
+        hv, _ = pair.sides[1]
+        assert hv.engine == "vector"
         for n in THRESHOLD_LENGTHS:
             taken.clear()
-            pair.run(*threshold_trace(rng, n, hv.config))
-            assert taken == ["numpy", "kernel"], n
+            pair.run(*threshold_trace(rng, n, hv.config))  # scalar, then vector
+            assert taken == ["oracle", "loop", "plan", "epoch"], n
         pair.assert_same_state()
+
+        taken.clear()
+        counts = [1, 4, 16]
+        warm, measure = (
+            Trace(*threshold_trace(rng, 2 * TINY_TRACE, hv.config)) for _ in range(2)
+        )
+        calibrate_l2_curve(hv.config, warm, measure, counts)
+        assert taken == ["plan", "epoch"] * len(counts)
 
     @pytest.mark.parametrize("shape", sorted(THRESHOLD_CONTEXTS))
     def test_tiny_calls_match_batched_planner(self, backend, rng, shape):
         """Per-call tiny traces vs ``run_trace_batched`` over the same segments.
 
-        ``BatchReplayer`` plans the whole schedule at once, so this
-        compares the per-call front end against a second one on
-        identical vector hierarchies.
+        Each per-call trace is a one-segment plan; ``run_trace_batched``
+        plans the whole schedule at once.  Both must leave identical
+        vector hierarchies.
         """
         pair = EnginePair(engines=("vector", "vector"), **THRESHOLD_CONTEXTS[shape])
         (h1, c1), (h2, c2) = pair.sides
@@ -559,14 +584,14 @@ class TestExactAccumulation:
     def test_fig6_mix_terms_and_sums_are_dyadic(self, monkeypatch):
         if not native_available():
             pytest.skip("compiled kernels unavailable")
-        import repro.arch.hierarchy as hierarchy
+        import repro.arch.batch_replay as batch_replay
         from repro.experiments.fig6 import run_fig6
         from repro.experiments.golden import quick_settings
         from repro.experiments.runner import clear_result_cache
 
         tables, sums = [], []
         avg = MemoryHierarchy._avg_core_distances
-        replay = hierarchy.replay_events
+        replay = batch_replay.replay_events
 
         def avg_spy(self, cores):
             tables.append((self.mesh.mc_distances, avg(self, cores)))
@@ -578,7 +603,7 @@ class TestExactAccumulation:
             return out
 
         monkeypatch.setattr(MemoryHierarchy, "_avg_core_distances", avg_spy)
-        monkeypatch.setattr(hierarchy, "replay_events", replay_spy)
+        monkeypatch.setattr(batch_replay, "replay_events", replay_spy)
         clear_result_cache()
         try:
             run_fig6(quick_settings("vector"), verbose=False)
@@ -649,7 +674,8 @@ class TestCalibrationEquivalence:
             assert list(batched) == list(oracle)
             for k in self.COUNTS:
                 assert batched[k] == oracle[k], (proc.name, k)
-            # Same engine, planner off: the vector per-probe loop.
+            # Same engine, a fresh hierarchy and two run_trace calls
+            # per probe: the oracle's loop on the vector engine.
             per_probe = calibrate_l2_curve_oracle(
                 SystemConfig.evaluation().with_engine("vector"),
                 warm, measure, self.COUNTS,

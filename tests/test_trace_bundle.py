@@ -113,7 +113,7 @@ class TestBundleEvents:
 
     APP = "<MEMCACHED, OS>"
 
-    def test_cached_events_match_events_array(self):
+    def test_cached_events_match_oracle_events(self):
         """Every segment's cached events are the oracle front end's."""
         from repro.arch.address import VirtualMemory
         from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
@@ -138,7 +138,7 @@ class TestBundleEvents:
             )
             for k in range(bundle.n_segments):
                 seg = bundle.segment(k)
-                vpages, ev_writes, plines, _, _, hits = hier._events_array(
+                vpages, ev_writes, plines, _, _, hits = hier._oracle_events(
                     ctx, seg.addrs, seg.writes
                 )
                 a, b = ev_off[k], ev_off[k + 1]
