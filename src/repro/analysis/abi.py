@@ -22,14 +22,16 @@ suite catches.  These rules guard the slips it can miss:
     the same stride.
 
 ``abi.backend-parity``
-    The two cache backends (`SetAssocCache` — the scalar oracle — and
-    `NativeCache`) and the two TLBs (`Tlb`, `NativeTlb`) are
-    interchangeable inside the replay engines, so the native classes
-    must expose every public method of their pure-Python contract with
-    identical positional parameter names.  (The equivalence suite
-    proves value equality at runtime, and fails on a property/method
-    mismatch; this rule proves the rest of the *call surface* cannot
-    drift.)
+    The purge paths, the attack probes and the equivalence suite call
+    the same maintenance and read surface on both engines' caches
+    (`SetAssocCache`, the scalar oracle, and the vector engine's
+    `NativeCache` arena views) and TLBs (`Tlb`, `NativeTlb`), so the
+    views must expose every public method of their reference class with
+    identical positional parameter names — except ``access``, the
+    oracle's per-event rule, which the vector engine implements as the
+    ``replay_events`` kernel instead.  (The equivalence suite proves
+    value equality at runtime, and fails on a property/method mismatch;
+    this rule proves the rest of the *call surface* cannot drift.)
 
 The comparison helpers take explicit source text/trees so the test
 suite can inject deliberate mismatches without touching the real
@@ -60,9 +62,9 @@ _BACKEND_CONTRACTS = (
     (("src/repro/arch/tlb.py", "Tlb"), "NativeTlb"),
 )
 
-#: Dunders that are part of the backend contract when the reference
-#: class defines them.
-_CONTRACT_DUNDERS = {"__contains__", "__len__"}
+#: The reference classes' per-event rule, which the vector engine
+#: implements as a kernel, not as a view method.
+_PER_EVENT_RULE = "access"
 
 _C_COMMENT = re.compile(r"/\*.*?\*/", re.S)
 _C_FUNC = re.compile(
@@ -379,7 +381,7 @@ def class_signatures(tree: ast.Module, class_name: str) -> Dict[str, MethodSig]:
                 if not isinstance(item, ast.FunctionDef):
                     continue
                 name = item.name
-                if name.startswith("_") and name not in _CONTRACT_DUNDERS:
+                if name.startswith("_"):
                     continue
                 params = tuple(a.arg for a in item.args.args[1:])
                 sigs[name] = MethodSig(params, item.lineno)
@@ -423,7 +425,7 @@ def _class_line(tree: ast.Module, class_name: str) -> int:
 
 
 def check_backend_parity(ctx: RepoContext) -> List[Finding]:
-    """Cache and TLB backend surfaces must match their references."""
+    """Cache and TLB views must match their references, ``access`` aside."""
     findings: List[Finding] = []
     impl_src = ctx.file(_NATIVE_REL)
     if impl_src is None or impl_src.tree is None:
@@ -432,8 +434,10 @@ def check_backend_parity(ctx: RepoContext) -> List[Finding]:
         ref_src = ctx.file(ref_rel)
         if ref_src is None or ref_src.tree is None:
             continue
+        reference = class_signatures(ref_src.tree, ref_cls)
+        reference.pop(_PER_EVENT_RULE, None)
         findings.extend(compare_backends(
-            class_signatures(ref_src.tree, ref_cls),
+            reference,
             class_signatures(impl_src.tree, impl_cls),
             ref_cls, impl_cls, _NATIVE_REL,
             _class_line(impl_src.tree, impl_cls),

@@ -14,8 +14,8 @@ millions of times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.config import CacheConfig
 
@@ -40,14 +40,6 @@ class CacheStats:
         total = self.accesses
         return self.misses / total if total else 0.0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
-        self.invalidations = 0
-        self.flushes = 0
-
     def snapshot(self) -> "CacheStats":
         return CacheStats(
             self.hits,
@@ -70,27 +62,6 @@ class CacheStats:
         )
 
 
-def primed_lines_for_set(
-    n_sets: int, assoc: int, set_index: int, tag_base: int
-) -> List[int]:
-    """Line ids an attacker primes into one set (Prime+Probe support).
-
-    The set-index bits occupy the low ``log2(n_sets)`` bits of a line
-    id, so each way's line is ``tag << set_bits | set_index``.  Computed
-    once here so that every cache implementation primes the same lines;
-    the result is asserted distinct and set-aligned because the whole
-    Prime+Probe attack model rests on those two properties.
-    """
-    set_mask = n_sets - 1
-    set_bits = set_mask.bit_length()
-    primed = [((tag_base + way) << set_bits) | set_index for way in range(assoc)]
-    assert len(set(primed)) == assoc, "primed lines must be distinct"
-    assert all(line & set_mask == set_index for line in primed), (
-        "primed lines must all map to the requested set"
-    )
-    return primed
-
-
 class SetAssocCache:
     """A set-associative, write-back, write-allocate cache.
 
@@ -99,10 +70,15 @@ class SetAssocCache:
     Each set is a list ordered most-recently-used first; entries are
     ``[tag, dirty]`` pairs.
 
-    Occupancy (valid and dirty line counts) is tracked incrementally on
-    every access, so the purge models read it in O(1) instead of
-    scanning every set — the same contract the compiled backend
-    implements (see :class:`repro.arch.native.NativeCache`).
+    This is the scalar oracle's cache; :meth:`access` is its per-event
+    rule, which the vector engine's ``replay_events`` kernel mirrors.
+    Everything else — the maintenance operations the purge paths call
+    and the read API (``contains``, :meth:`set_entries`, the occupancy
+    counters, ``stats``) — is the surface both engines share: the
+    vector engine's :class:`repro.arch.native.NativeCache` views
+    implement it over a state-arena slot.  Occupancy (valid and dirty
+    line counts) is tracked incrementally on every access, so the purge
+    models read it in O(1) instead of scanning every set.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache"):
@@ -162,10 +138,6 @@ class SetAssocCache:
         """Modified-line count (incrementally tracked, O(1))."""
         return self._dirty_count
 
-    def resident_lines(self) -> List[int]:
-        """All line ids currently cached (diagnostics and attacks)."""
-        return [entry[0] for s in self._sets for entry in s]
-
     def invalidate_all(self) -> Tuple[int, int]:
         """Flush-and-invalidate; returns (valid, dirty) line counts."""
         valid = self._valid_count
@@ -198,8 +170,8 @@ class SetAssocCache:
         self.stats.writebacks += dirty
         return dirty
 
-    def evict_line(self, line_id: int) -> bool:
-        """Remove one specific line (page re-homing support)."""
+    def _evict_line(self, line_id: int) -> bool:
+        """Remove one specific line; True if it was resident."""
         cset = self._sets[line_id & self._set_mask]
         for i, entry in enumerate(cset):
             if entry[0] == line_id:
@@ -215,26 +187,19 @@ class SetAssocCache:
     def evict_line_range(self, base_line: int, count: int) -> int:
         """Evict every resident line in ``[base_line, base_line+count)``.
 
-        One call per physical frame replaces the per-line
-        :meth:`evict_line` loop on the page re-homing / migration path;
-        stats and occupancy bookkeeping are identical to calling
-        :meth:`evict_line` once per line.  Returns lines evicted.
+        The page re-homing / migration path calls it once per physical
+        frame; each resident line counts one eviction, plus a writeback
+        if dirty.  Returns lines evicted.
         """
         evicted = 0
         for line_id in range(base_line, base_line + count):
-            if self.evict_line(line_id):
+            if self._evict_line(line_id):
                 evicted += 1
         return evicted
 
-    def fill_set(self, set_index: int, tag_base: int) -> List[int]:
-        """Fill one set with attacker-controlled lines (Prime+Probe).
-
-        Returns the line ids primed into the set.
-        """
-        primed = primed_lines_for_set(self.n_sets, self.assoc, set_index, tag_base)
-        for line_id in primed:
-            self.access(line_id, False)
-        return primed
+    def set_entries(self, set_index: int) -> List[List[int]]:
+        """Set contents as ``[tag, dirty]`` pairs, MRU-first."""
+        return [list(entry) for entry in self._sets[set_index]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -429,10 +429,8 @@ class MemoryHierarchy:
     def _evict_frame_lines(self, home: int, frame: int) -> int:
         """Evict one frame's resident lines from its home slice.
 
-        One ``evict_line_range`` call per frame: every backend
-        implements the range eviction with stats identical to a
-        per-line :meth:`~repro.arch.cache.SetAssocCache.evict_line`
-        loop, but without the per-line Python overhead.
+        One ``evict_line_range`` call per frame, with the same stats
+        on both engines.
         """
         if home < 0 or home not in self._l2:
             return 0
@@ -488,11 +486,6 @@ class MemoryHierarchy:
             dropped += len(ctx._replicated)
             ctx._replicated.clear()
         return dropped
-
-    def frames_homed_in(self, slices: Sequence[int]) -> List[int]:
-        """All frames whose home lies in the given slice set."""
-        mask = np.isin(self.home_table, np.asarray(list(slices), dtype=np.int32))
-        return np.flatnonzero(mask).tolist()
 
     # ------------------------------------------------------------------
     # Trace replay
@@ -802,6 +795,3 @@ class MemoryHierarchy:
             if cache is not None and cache.dirty_lines:
                 total += cache.clean_all()
         return total
-
-    def l2_dirty_lines(self, slices: Sequence[int]) -> int:
-        return sum(self._l2[s].dirty_lines for s in slices if s in self._l2)

@@ -28,13 +28,15 @@ plus a stats row per slot: hits, misses, evictions, writebacks,
 invalidations, flushes, and the valid and dirty line counts.  The
 kernels update the rows of the slots they touch in place, so a kernel
 call neither creates nor resumes anything on the Python side.
-:class:`NativeCache` and :class:`NativeTlb` are views of one slot each
-(a standalone one allocates a private one-slot arena).
 
-The kernels implement bit-for-bit the semantics of
-:class:`repro.arch.cache.SetAssocCache` (hit/miss, LRU victim choice,
-dirty propagation, eviction/writeback counting), so the equivalence
-suite holds regardless of which backend serviced a batch.
+``replay_events`` is the vector engine's only per-event cache and TLB
+rule: bit for bit the scalar oracle's :class:`repro.arch.cache.SetAssocCache`
+and :class:`repro.arch.tlb.Tlb` access (hit/miss, LRU victim choice,
+dirty propagation, eviction/writeback counting).  :class:`NativeCache`
+and :class:`NativeTlb` are views of one arena slot each, with the
+maintenance and read surface both engines share: the purge paths'
+flush, clean and range eviction, and the contents, occupancy and stats
+reads the equivalence suite compares.
 
 Everything degrades gracefully: if no compiler is present or the build
 fails for any reason, :func:`native_available` returns False and a
@@ -69,7 +71,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.cache import CacheStats, primed_lines_for_set
+from repro.arch.cache import CacheStats
 from repro.arch.tlb import TlbStats
 from repro.config import CacheConfig
 
@@ -146,28 +148,7 @@ static inline i64 do_access(i64 line, i8 w,
     return 0;
 }
 
-/* l1_filter: one cache over n events; records the indices of missing
- * events in miss_pos, returns how many there were and adds the call's
- * counters to the cache's stats row. */
-
-i64 l1_filter(i64 n, const i64 *lines, const i8 *writes,
-              i64 *tags, i8 *dirty, i64 *age, i64 *clock_io,
-              i64 set_mask, i64 assoc,
-              i64 *miss_pos, i64 *stats)
-{
-    i64 clock = *clock_io, n_miss = 0, evictions = 0, writebacks = 0;
-    i64 dirtied = 0;
-    for (i64 k = 0; k < n; k++) {
-        if (!do_access(lines[k], writes[k], tags, dirty, age, &clock,
-                       set_mask, assoc, &evictions, &writebacks, &dirtied))
-            miss_pos[n_miss++] = k;
-    }
-    *clock_io = clock;
-    add_stats(stats, 0, n - n_miss, n_miss, evictions, writebacks, dirtied);
-    return n_miss;
-}
-
-/* Multi-slice variant: one call services a home-sorted miss stream.
+/* l2_flags_multi: one call services a home-sorted access stream.
  * Part p covers stream positions [bounds[p], bounds[p+1]) and replays
  * through the slice whose state buffers are at tags_ptrs[p]/
  * dirty_ptrs[p]/age_ptrs[p]/clock_ptrs[p] and whose stats row is at
@@ -197,9 +178,8 @@ void l2_flags_multi(i64 n_parts, const i64 *bounds,
     }
 }
 
-/* Fully-associative LRU TLB over page-change events.  entries/age are
- * capacity-sized arrays (-1 = empty).  tlb_one returns 1 on a miss;
- * tlb_misses adds its lookups to the TLB's stats row. */
+/* Fully-associative LRU TLB lookup.  entries/age are capacity-sized
+ * arrays (-1 = empty).  Returns 1 on a miss. */
 static inline i64 tlb_one(i64 page, i64 *entries, i64 *age,
                           i64 *clock, i64 capacity)
 {
@@ -223,18 +203,6 @@ static inline i64 tlb_one(i64 page, i64 *entries, i64 *age,
     entries[slot] = page;
     age[slot] = ++(*clock);
     return 1;
-}
-
-i64 tlb_misses(i64 n, const i64 *pages,
-               i64 *entries, i64 *age, i64 *clock_io, i64 capacity,
-               i64 *stats)
-{
-    i64 clock = *clock_io, misses = 0;
-    for (i64 k = 0; k < n; k++)
-        misses += tlb_one(pages[k], entries, age, &clock, capacity);
-    *clock_io = clock;
-    add_tlb_stats(stats, 0, n, misses);
-    return misses;
 }
 
 /* Open addressing over power-of-two tables of -1-initialised slots. */
@@ -501,14 +469,10 @@ def _load() -> Optional[ctypes.CDLL]:
     # c_void_p argtypes keep the per-call marshalling cost negligible.
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    lib.l1_filter.restype = i64
-    lib.l1_filter.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
     lib.l2_flags_multi.restype = None
     lib.l2_flags_multi.argtypes = [
         i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr
     ]
-    lib.tlb_misses.restype = i64
-    lib.tlb_misses.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr]
     lib.set_fill.restype = None
     lib.set_fill.argtypes = [i64, ptr, ptr, i64]
     lib.first_touch.restype = i64
@@ -587,137 +551,54 @@ class StateArena:
         stats = np.zeros(8 * n_slots, dtype=np.int64)
         self.stats = stats.reshape(-1, 8)
         self.stats_ptr = stats.ctypes.data
-        self._base = (
-            self.tags.ctypes.data, self.dirty.ctypes.data,
-            self.age.ctypes.data, self.clock.ctypes.data,
-        )
-        tags, dirty, age, clock = self._base
         first = offsets[:-1]
         self.cache_tab = np.stack([
-            tags + 8 * first, dirty + first, age + 8 * first,
-            clock + 8 * np.arange(n_slots, dtype=np.int64),
+            self.tags.ctypes.data + 8 * first, self.dirty.ctypes.data + first,
+            self.age.ctypes.data + 8 * first,
+            self.clock.ctypes.data + 8 * np.arange(n_slots, dtype=np.int64),
         ], axis=1).ravel()
         self.tab_ptr = self.cache_tab.ctypes.data
-        # Single-event buffers the views' access() calls share: {line or
-        # page, miss position} and the write flag.
-        self.one = np.zeros(2, dtype=np.int64)
-        self.one_write = np.zeros(1, dtype=np.int8)
-        self.one_ptrs = (self.one.ctypes.data, self.one_write.ctypes.data)
 
-    def slot(self, c: int, ways: int) -> Tuple[slice, Tuple[int, ...], int]:
-        """Slot ``c``'s entry range, its ``cache_tab`` row and stats row address."""
+    def slot(self, c: int, ways: int) -> slice:
+        """Slot ``c``'s entry range, checked to hold ``ways`` entries."""
         a, b = self.offsets[c], self.offsets[c + 1]
         if b - a != ways:
             raise ValueError(f"arena slot {c} holds {b - a} entries, not {ways}")
-        tags, dirty, age, clock = self._base
-        return slice(a, b), (tags + 8 * a, dirty + a, age + 8 * a, clock + 8 * c), (
-            self.stats_ptr + 64 * c
-        )
-
-
-def _column(c: int) -> property:
-    """A stats field served from column ``c`` of a slot's stats row."""
-
-    def get(self) -> int:
-        return self._row[c]
-
-    def set(self, value: int) -> None:
-        self._row[c] = value
-
-    return property(get, set)
-
-
-class _RowCacheStats(CacheStats):
-    """A view's :class:`~repro.arch.cache.CacheStats`, live on its stats row.
-
-    Equal to any ``CacheStats`` with the same counts; ``snapshot`` and
-    ``delta`` return plain ``CacheStats``.
-    """
-
-    hits, misses, evictions, writebacks, invalidations, flushes = map(_column, range(6))
-
-    def __init__(self, row: memoryview):
-        self._row = row
-
-    def snapshot(self) -> CacheStats:
-        return CacheStats(*self._row[:6].tolist())
-
-    def delta(self, earlier: CacheStats) -> CacheStats:
-        return self.snapshot().delta(earlier)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        return self.snapshot() == other.snapshot()
-
-
-class _RowTlbStats(TlbStats):
-    """A TLB view's :class:`~repro.arch.tlb.TlbStats`, live on its stats row."""
-
-    hits, misses, flushes = map(_column, (HITS, MISSES, FLUSHES))
-
-    def __init__(self, row: memoryview):
-        self._row = row
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TlbStats):
-            return NotImplemented
-        fields = ("hits", "misses", "flushes")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
+        return slice(a, b)
 
 
 class NativeCache:
-    """Matrix-backed LRU cache serviced by the compiled kernels.
+    """One cache slot of a :class:`StateArena`.
 
-    API-compatible with :class:`repro.arch.cache.SetAssocCache`; see
-    the module docstring for the state layout.  The cache is a view of
-    slot ``slot`` of a :class:`StateArena`; without one it allocates a
-    private one-slot arena.  ``stats`` reads and writes the slot's row.
+    The fused ``replay_events`` kernel is the vector engine's per-event
+    rule; the view is the maintenance and read surface it shares with
+    :class:`repro.arch.cache.SetAssocCache`: flush, clean and range
+    eviction, which write the slot's matrices and stats row directly,
+    and ``contains``, ``set_entries``, the occupancy counters and a
+    ``stats`` snapshot of the row.  See the module docstring for the
+    layout.
     """
 
-    def __init__(
-        self, config: CacheConfig, name: str = "ncache",
-        arena: Optional[StateArena] = None, slot: int = 0,
-    ):
-        lib = load_native()
-        if lib is None:  # pragma: no cover - guarded by factory
-            raise RuntimeError("native kernels unavailable")
-        self._lib = lib
+    def __init__(self, config: CacheConfig, name: str, arena: StateArena, slot: int):
         self.config = config
         self.name = name
         self.n_sets = config.n_sets
         self.assoc = config.associativity
         self._set_mask = self.n_sets - 1
-        ways = self.n_sets * self.assoc
-        if arena is None:
-            arena = StateArena([ways])
-        # Holds the buffers the cached addresses below point into.
         self._arena = arena
-        span, self._state_ptrs, self._stats_ptr = arena.slot(slot, ways)
+        self._slot = slot
+        span = arena.slot(slot, self.n_sets * self.assoc)
         self.tags = arena.tags[span]
         self.dirty = arena.dirty[span]
         self.age = arena.age[span]
         # The stats row as a memoryview: its items read and write as
         # Python ints, several times faster than NumPy scalars.
         self._st = memoryview(arena.stats[slot])
-        self.stats = _RowCacheStats(self._st)
-        # The whole l1_filter argument tail of the single-event access()
-        # after the event count, built once.
-        one, one_write = arena.one_ptrs
-        self._one = arena.one
-        self._one_write = arena.one_write
-        self._one_args = (
-            one, one_write, *self._state_ptrs,
-            self._set_mask, self.assoc, one + 8, self._stats_ptr,
-        )
 
-    # ------------------------------------------------------------------
-    # SetAssocCache-compatible scalar API
-    # ------------------------------------------------------------------
-    def access(self, line_id: int, is_write: bool) -> bool:
-        self._one[0] = line_id
-        self._one_write[0] = 1 if is_write else 0
-        return self._lib.l1_filter(1, *self._one_args) == 0
+    @property
+    def stats(self) -> CacheStats:
+        """A snapshot of the slot's counters."""
+        return CacheStats(*self._st[:6])
 
     def _row(self, set_index: int) -> slice:
         base = set_index * self.assoc
@@ -735,13 +616,6 @@ class NativeCache:
     def dirty_lines(self) -> int:
         """Modified-line count (kept in the stats row, O(1))."""
         return self._st[DIRTY]
-
-    def resident_lines(self) -> List[int]:
-        """All line ids currently cached, per set MRU-first."""
-        out: List[int] = []
-        for s in range(self.n_sets):
-            out.extend(tag for tag, _ in self.set_entries(s))
-        return out
 
     def invalidate_all(self) -> Tuple[int, int]:
         """Flush-and-invalidate; returns (valid, dirty) line counts.
@@ -774,30 +648,13 @@ class NativeCache:
             st[WRITEBACKS] += dirty
         return dirty
 
-    def evict_line(self, line_id: int) -> bool:
-        row = self._row(line_id & self._set_mask)
-        ways = np.nonzero(self.tags[row] == line_id)[0]
-        if not len(ways):
-            return False
-        way = (line_id & self._set_mask) * self.assoc + int(ways[0])
-        st = self._st
-        if self.dirty[way]:
-            st[WRITEBACKS] += 1
-            st[DIRTY] -= 1
-        self.tags[way] = -1
-        self.dirty[way] = 0
-        self.age[way] = 0
-        st[EVICTIONS] += 1
-        st[VALID] -= 1
-        return True
-
     def evict_line_range(self, base_line: int, count: int) -> int:
         """Evict every resident line in ``[base_line, base_line+count)``.
 
-        Vectorized over the range's sets — one gather/compare instead
-        of a Python loop with one :meth:`evict_line` lookup per line;
-        identical stats, occupancy and final contents.  Used by the
-        page re-homing / migration path (one frame per call).
+        Vectorized over the range's sets — one gather/compare for the
+        whole range; stats, occupancy and final contents are those of
+        the reference's per-line eviction.  Used by the page re-homing
+        / migration path (one frame per call).
         """
         st = self._st
         if not st[VALID]:
@@ -820,12 +677,6 @@ class NativeCache:
         st[DIRTY] -= wbs
         return evicted
 
-    def fill_set(self, set_index: int, tag_base: int) -> List[int]:
-        primed = primed_lines_for_set(self.n_sets, self.assoc, set_index, tag_base)
-        for line_id in primed:
-            self.access(line_id, False)
-        return primed
-
     def set_entries(self, set_index: int) -> List[List[int]]:
         """Set contents as ``[tag, dirty]`` pairs, MRU-first."""
         row = self._row(set_index)
@@ -844,6 +695,44 @@ class NativeCache:
         )
 
 
+class NativeTlb:
+    """One TLB slot of a :class:`StateArena`.
+
+    Like :class:`NativeCache`, the maintenance and read surface of a
+    slot the ``replay_events`` kernel fills: the reference
+    :class:`repro.arch.tlb.Tlb`'s flush, LRU order and ``stats``, over
+    entry/age arrays instead of an OrderedDict.
+    """
+
+    def __init__(self, config, name: str, arena: StateArena, slot: int):
+        self.config = config
+        self.name = name
+        span = arena.slot(slot, config.entries)
+        self.entries = arena.tags[span]
+        self.age = arena.age[span]
+        self._st = memoryview(arena.stats[slot])
+
+    @property
+    def stats(self) -> TlbStats:
+        """A snapshot of the slot's counters."""
+        st = self._st
+        return TlbStats(st[HITS], st[MISSES], st[FLUSHES])
+
+    def invalidate_all(self) -> int:
+        """Flush the TLB; returns the number of entries dropped."""
+        dropped = int((self.entries != -1).sum())
+        self.entries.fill(-1)
+        self.age.fill(0)
+        self._st[FLUSHES] += 1
+        return dropped
+
+    def lru_entries(self) -> List[int]:
+        """Resident pages ordered least- to most-recently used."""
+        valid = np.nonzero(self.entries != -1)[0]
+        order = valid[np.argsort(self.age[valid], kind="stable")]
+        return [int(p) for p in self.entries[order]]
+
+
 def multi_slice_flags_wb(
     caches: list,
     bounds: "list[int]",
@@ -858,16 +747,19 @@ def multi_slice_flags_wb(
     path calls it; it stays because the perfbench tracer looks it up by
     name when it installs.
     """
-    n_parts = len(caches)
     first = caches[0]
-    ptrs = np.asarray([c._state_ptrs for c in caches], dtype=np.int64).T.copy()
-    stats_ptrs = np.asarray([c._stats_ptr for c in caches], dtype=np.int64)
+    ptrs = np.stack(
+        [c._arena.cache_tab[4 * c._slot:4 * c._slot + 4] for c in caches], axis=1
+    )
+    stats_ptrs = np.asarray(
+        [c._arena.stats_ptr + 64 * c._slot for c in caches], dtype=np.int64
+    )
     bounds_arr = np.asarray(bounds, dtype=np.int64)
     lines_sorted = np.ascontiguousarray(lines_sorted, dtype=np.int64)
     writes_sorted = np.ascontiguousarray(writes_sorted, dtype=np.int8)
     flags = np.empty(len(lines_sorted), dtype=np.int8)
-    first._lib.l2_flags_multi(
-        n_parts, bounds_arr.ctypes.data, *(row.ctypes.data for row in ptrs),
+    load_native().l2_flags_multi(
+        len(caches), bounds_arr.ctypes.data, *(row.ctypes.data for row in ptrs),
         lines_sorted.ctypes.data, writes_sorted.ctypes.data,
         first._set_mask, first.assoc, flags.ctypes.data, stats_ptrs.ctypes.data,
     )
@@ -961,74 +853,3 @@ def replay_events(
     for r, replicated in enumerate(rep_sets):
         replicated.update(new_lines[new_lines[:, 0] == r, 1].tolist())
     return seg_out.reshape(-1, 6), mem_out, mc_out.reshape(-1, n_mc)
-
-
-class NativeTlb:
-    """Matrix-backed fully-associative LRU TLB (compiled kernel).
-
-    Mirrors :class:`repro.arch.tlb.Tlb` — same hit/miss behaviour, same
-    stats — with entry/age arrays instead of an OrderedDict so the fused
-    ``replay_events`` kernel can replay it in place.  Like
-    :class:`NativeCache` it is a view of one :class:`StateArena` slot,
-    private unless ``arena`` is given.
-    """
-
-    def __init__(
-        self, config, name: str = "ntlb",
-        arena: Optional[StateArena] = None, slot: int = 0,
-    ):
-        lib = load_native()
-        if lib is None:  # pragma: no cover - guarded by factory
-            raise RuntimeError("native kernels unavailable")
-        self._lib = lib
-        self.config = config
-        self.name = name
-        if arena is None:
-            arena = StateArena([config.entries])
-        # Holds the buffers the cached addresses below point into.
-        self._arena = arena
-        span, ptrs, stats_ptr = arena.slot(slot, config.entries)
-        self.entries = arena.tags[span]
-        self.age = arena.age[span]
-        self._st = memoryview(arena.stats[slot])
-        self.stats = _RowTlbStats(self._st)
-        self._one = arena.one
-        # Argument tail of the single-page access() call, built once.
-        self._one_args = (
-            arena.one_ptrs[0], ptrs[0], ptrs[2], ptrs[3], config.entries, stats_ptr,
-        )
-
-    def access(self, vpage: int) -> bool:
-        """Look up a virtual page; returns True on hit."""
-        self._one[0] = vpage
-        return self._lib.tlb_misses(1, *self._one_args) == 0
-
-    def invalidate_all(self) -> int:
-        """Flush the TLB; returns the number of entries dropped."""
-        dropped = int((self.entries != -1).sum())
-        self.entries.fill(-1)
-        self.age.fill(0)
-        self._st[FLUSHES] += 1
-        return dropped
-
-    def invalidate_page(self, vpage: int) -> bool:
-        """Drop one translation (page re-homing support)."""
-        idx = np.nonzero(self.entries == vpage)[0]
-        if not len(idx):
-            return False
-        self.entries[idx[0]] = -1
-        self.age[idx[0]] = 0
-        return True
-
-    def lru_entries(self) -> List[int]:
-        """Resident pages ordered least- to most-recently used."""
-        valid = np.nonzero(self.entries != -1)[0]
-        order = valid[np.argsort(self.age[valid], kind="stable")]
-        return [int(p) for p in self.entries[order]]
-
-    @property
-    def occupancy(self) -> int:
-        return int((self.entries != -1).sum())
-
-    def __contains__(self, vpage: int) -> bool:
-        return bool((self.entries == vpage).any())

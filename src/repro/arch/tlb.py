@@ -29,14 +29,14 @@ class TlbStats:
         total = self.accesses
         return self.misses / total if total else 0.0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.flushes = 0
-
 
 class Tlb:
-    """LRU translation lookaside buffer over virtual page numbers."""
+    """LRU translation lookaside buffer over virtual page numbers.
+
+    :meth:`access` is the scalar oracle's per-event rule; the flush,
+    :meth:`lru_entries` and ``stats`` are the surface the vector
+    engine's :class:`repro.arch.native.NativeTlb` views share.
+    """
 
     def __init__(self, config: TlbConfig, name: str = "tlb"):
         self.config = config
@@ -67,17 +67,3 @@ class Tlb:
         self._entries.clear()
         self.stats.flushes += 1
         return dropped
-
-    def invalidate_page(self, vpage: int) -> bool:
-        """Drop one translation (page re-homing support)."""
-        if vpage in self._entries:
-            del self._entries[vpage]
-            return True
-        return False
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, vpage: int) -> bool:
-        return vpage in self._entries

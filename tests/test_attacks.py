@@ -501,16 +501,11 @@ def per_touch_transmit(channel, bits, rng):
 
 def cache_state(cache):
     """Stats and every set's ``[tag, dirty]`` entries, MRU-first."""
-    if hasattr(cache, "set_entries"):
-        sets = [cache.set_entries(s) for s in range(cache.n_sets)]
-    else:
-        sets = [[list(e) for e in cache._sets[s]] for s in range(cache.n_sets)]
-    return cache.stats.snapshot(), sets
+    return cache.stats, [cache.set_entries(s) for s in range(cache.n_sets)]
 
 
 def tlb_state(tlb):
-    entries = tlb.lru_entries() if hasattr(tlb, "lru_entries") else [int(p) for p in tlb._entries]
-    return tlb.stats, entries
+    return tlb.stats, tlb.lru_entries()
 
 
 def assert_same_env_state(a, b):

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.cache import SetAssocCache
-from repro.arch.native import NativeCache, NativeTlb, native_available
+from repro.arch.native import (
+    NativeCache,
+    NativeTlb,
+    StateArena,
+    multi_slice_flags_wb,
+    native_available,
+    replay_events,
+)
 from repro.arch.tlb import Tlb
 from repro.config import CacheConfig, TlbConfig
 from repro.errors import ConfigError
@@ -112,15 +119,9 @@ class TestMaintenance:
     def test_evict_line_specific(self):
         cache = make_cache()
         cache.access(7, True)
-        assert cache.evict_line(7) is True
+        assert cache.evict_line_range(7, 1) == 1
         assert not cache.contains(7)
-        assert cache.evict_line(7) is False
-
-    def test_resident_lines_lists_contents(self):
-        cache = make_cache()
-        for line in (1, 2, 3):
-            cache.access(line, False)
-        assert sorted(cache.resident_lines()) == [1, 2, 3]
+        assert cache.evict_line_range(7, 1) == 0
 
     def test_dirty_lines_counter(self):
         cache = make_cache()
@@ -155,8 +156,8 @@ class TestProperties:
         for line in lines:
             cache.access(line, False)
         assert cache.valid_lines <= 8
-        for s in cache._sets:
-            assert len(s) <= 2
+        for s in range(cache.n_sets):
+            assert len(cache.set_entries(s)) <= 2
 
     @given(
         lines=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200),
@@ -197,167 +198,207 @@ class TestProperties:
         assert all(cache.access(line, False) for line in unique)
 
 
-class TestFillSet:
-    """Prime+Probe priming must produce distinct, set-aligned lines
-    (regression for the precedence-reliant shift/double-mask version)."""
+#: (L1, L2, TLB entries) geometries of the one-tile parity harness:
+#: direct-mapped, 2-way and 8-way caches; 1- and 8-entry TLBs.
+TILE_GEOMETRIES = {
+    "1way-tlb1": (CacheConfig(512, 1, 64), CacheConfig(1024, 1, 64), 1),
+    "2way-tlb8": (CacheConfig(1024, 2, 64), CacheConfig(4096, 4, 64), 8),
+    "8way-tlb8": (CacheConfig(2048, 8, 64), CacheConfig(8192, 8, 64), 8),
+}
 
-    @pytest.mark.parametrize("size,assoc", [(1024, 2), (4096, 4), (16384, 8)])
-    def test_primed_lines_distinct_and_aligned(self, size, assoc):
-        cache = make_cache(size=size, assoc=assoc)
-        for set_index in (0, 1, cache.n_sets - 1):
-            primed = cache.fill_set(set_index, tag_base=7)
-            assert len(set(primed)) == cache.assoc
-            assert all(line & (cache.n_sets - 1) == set_index for line in primed)
-            assert all(cache.contains(line) for line in primed)
+#: Lines per page in the harness's event streams.
+PAGE_LINES = 8
 
-    def test_fill_set_occupies_all_ways(self):
-        cache = make_cache(size=1024, assoc=2)
-        primed = cache.fill_set(3, tag_base=0)
-        assert len(cache._sets[3]) == cache.assoc
-        # A conflicting access now evicts the LRU primed line.
-        intruder = (1000 << (cache.n_sets - 1).bit_length()) | 3
-        cache.access(intruder, False)
-        assert not cache.contains(primed[0])
-        assert cache.contains(primed[1])
 
-    @native
-    def test_primed_lines_agree_across_implementations(self):
-        cfg = CacheConfig(4096, 4, 64)
-        a = SetAssocCache(cfg, "a")
-        b = NativeCache(cfg, "b")
-        assert a.fill_set(5, 11) == b.fill_set(5, 11)
-        assert a.stats == b.stats
+class RefTile:
+    """The scalar oracle's rule for one core: TLB, L1, then the L2 slice."""
+
+    def __init__(self, l1_cfg, l2_cfg, tlb_entries):
+        self.l1 = SetAssocCache(l1_cfg, "l1")
+        self.l2 = SetAssocCache(l2_cfg, "l2")
+        self.tlb = Tlb(TlbConfig(entries=tlb_entries), "tlb")
+
+    def step(self, line, write):
+        """One event; returns (TLB hit, L1 hit)."""
+        tlb_hit = self.tlb.access(line // PAGE_LINES)
+        l1_hit = self.l1.access(line, write)
+        if not l1_hit:
+            self.l2.access(line, write)
+        return tlb_hit, l1_hit
+
+
+class ArenaTile:
+    """The same core as a one-tile state arena stepped by ``replay_events``.
+
+    L1 in slot 0, L2 in slot 1, TLB in slot 2.  Every step replays one
+    one-event segment, so the segment's TLB lookup is never skipped.
+    """
+
+    def __init__(self, l1_cfg, l2_cfg, tlb_entries):
+        self.arena = StateArena([
+            l1_cfg.n_sets * l1_cfg.associativity,
+            l2_cfg.n_sets * l2_cfg.associativity,
+            tlb_entries,
+        ])
+        geom = np.asarray([
+            l1_cfg.n_sets - 1, l1_cfg.associativity,
+            l2_cfg.n_sets - 1, l2_cfg.associativity, tlb_entries, 1, 1,
+        ], dtype=np.int64)
+        self.tables = (self.arena, geom, np.asarray([4.0, 11.0, 108.0, 50.0]))
+        self._zero = np.zeros(1)
+        self.group_tab = np.asarray(
+            [self._zero.ctypes.data, self._zero.ctypes.data, -1], dtype=np.int64
+        )
+        self.l1 = NativeCache(l1_cfg, "l1", self.arena, 0)
+        self.l2 = NativeCache(l2_cfg, "l2", self.arena, 1)
+        self.tlb = NativeTlb(TlbConfig(entries=tlb_entries), "tlb", self.arena, 2)
+
+    def step(self, line, write):
+        seg_out, _, _ = replay_events(
+            np.asarray([0, 1], dtype=np.int64),
+            np.zeros(2, dtype=np.int64),
+            (np.asarray([line // PAGE_LINES]), np.asarray([int(write)]),
+             np.asarray([line]), np.zeros(1), np.zeros(1)),
+            self.tables, self.group_tab, [],
+        )
+        return seg_out[0][0] == 0, seg_out[0][1] == 0
+
+
+def assert_same_tile(ref, tile):
+    for a, b in ((ref.l1, tile.l1), (ref.l2, tile.l2)):
+        assert a.stats == b.stats, a.name
+        assert (a.valid_lines, a.dirty_lines) == (b.valid_lines, b.dirty_lines), a.name
         for s in range(a.n_sets):
-            assert a._sets[s] == b.set_entries(s)
+            assert a.set_entries(s) == b.set_entries(s), (a.name, s)
+    assert ref.tlb.stats == tile.tlb.stats
+    assert ref.tlb.lru_entries() == tile.tlb.lru_entries()
+
+
+@pytest.fixture(params=list(TILE_GEOMETRIES), ids=list(TILE_GEOMETRIES))
+def tiles(request):
+    """A reference tile and an arena tile of one geometry."""
+    geometry = TILE_GEOMETRIES[request.param]
+    return RefTile(*geometry), ArenaTile(*geometry)
+
+
+def line_span(ref):
+    """Lines the random streams draw from: twice the L2's capacity."""
+    return 2 * ref.l2.n_sets * ref.l2.assoc
 
 
 @native
 class TestNativeCacheParity:
-    """The compiled cache must mirror the reference model."""
+    """The arena cache views, stepped by the kernel, mirror the reference."""
 
-    def test_scalar_access_parity(self):
-        cfg = CacheConfig(1024, 2, 64)
-        ref = SetAssocCache(cfg, "ref")
-        nat = NativeCache(cfg, "nat")
+    def test_scalar_access_parity(self, tiles):
+        ref, tile = tiles
         rnd = random.Random(7)
-        for _ in range(2000):
-            line = rnd.randrange(64)
+        span = line_span(ref)
+        for _ in range(600):
+            line = rnd.randrange(span)
             w = rnd.random() < 0.3
-            assert ref.access(line, w) == nat.access(line, w)
-        assert ref.stats == nat.stats
-        assert ref.valid_lines == nat.valid_lines
-        assert ref.dirty_lines == nat.dirty_lines
-        for s in range(ref.n_sets):
-            assert ref._sets[s] == nat.set_entries(s)
+            assert ref.step(line, w) == tile.step(line, w)
+            assert_same_tile(ref, tile)
+        assert ref.l2.stats.evictions > 0
 
-    def test_maintenance_op_parity(self):
-        cfg = CacheConfig(1024, 2, 64)
-        ref = SetAssocCache(cfg, "ref")
-        nat = NativeCache(cfg, "nat")
+    def test_maintenance_op_parity(self, tiles):
+        ref, tile = tiles
         for line in range(20):
-            ref.access(line, line % 2 == 0)
-            nat.access(line, line % 2 == 0)
-        assert ref.clean_all() == nat.clean_all()
-        assert ref.clean_all() == nat.clean_all() == 0
-        ref.access(12, True)
-        nat.access(12, True)
-        assert ref.evict_line(12) == nat.evict_line(12) is True
-        assert ref.evict_line(4) == nat.evict_line(4)
-        assert ref.evict_line(4) == nat.evict_line(4) is False
-        assert sorted(ref.resident_lines()) == sorted(nat.resident_lines())
-        assert ref.evict_line_range(8, 8) == nat.evict_line_range(8, 8)
-        assert ref.stats == nat.stats
-        assert (ref.valid_lines, ref.dirty_lines) == (
-            nat.valid_lines, nat.dirty_lines
-        )
-        assert ref.invalidate_all() == nat.invalidate_all()
-        assert ref.resident_lines() == nat.resident_lines() == []
-        assert ref.stats == nat.stats
+            assert ref.step(line, line % 2 == 0) == tile.step(line, line % 2 == 0)
+        assert ref.l1.clean_all() == tile.l1.clean_all()
+        assert ref.l1.clean_all() == tile.l1.clean_all() == 0
+        ref.step(12, True)
+        tile.step(12, True)
+        for a, b in ((ref.l1, tile.l1), (ref.l2, tile.l2)):
+            assert a.contains(12) and b.contains(12)
+            assert a.evict_line_range(12, 1) == b.evict_line_range(12, 1) == 1
+            assert not b.contains(12)
+            assert a.evict_line_range(4, 1) == b.evict_line_range(4, 1)
+            assert a.evict_line_range(4, 1) == b.evict_line_range(4, 1) == 0
+            assert a.evict_line_range(8, 8) == b.evict_line_range(8, 8)
+        assert_same_tile(ref, tile)
+        for a, b in ((ref.l1, tile.l1), (ref.l2, tile.l2)):
+            assert a.invalidate_all() == b.invalidate_all()
+            assert all(b.set_entries(s) == [] for s in range(b.n_sets))
+        assert_same_tile(ref, tile)
 
 
 @native
 class TestNativeTlbParity:
-    """The compiled TLB must mirror the reference LRU TLB."""
+    """The arena TLB view, stepped by the kernel, mirrors the reference LRU TLB."""
 
-    def test_access_and_maintenance_parity(self):
-        cfg = TlbConfig(entries=8)
-        ref = Tlb(cfg, "ref")
-        nat = NativeTlb(cfg, "nat")
+    def test_access_and_maintenance_parity(self, tiles):
+        ref, tile = tiles
         rnd = random.Random(11)
         for step in range(600):
-            page = rnd.randrange(20)
-            assert ref.access(page) == nat.access(page)
+            line = rnd.randrange(20) * PAGE_LINES + rnd.randrange(PAGE_LINES)
+            assert ref.step(line, False) == tile.step(line, False)
             if step % 97 == 0:
-                victim = rnd.randrange(20)
-                assert ref.invalidate_page(victim) == nat.invalidate_page(victim)
-            assert ref.lru_entries() == nat.lru_entries()
-        assert ref.stats == nat.stats
-        assert ref.occupancy == nat.occupancy
-        assert ref.invalidate_all() == nat.invalidate_all()
-        assert ref.lru_entries() == nat.lru_entries() == []
-        assert ref.stats == nat.stats
+                assert ref.tlb.invalidate_all() == tile.tlb.invalidate_all()
+            assert ref.tlb.lru_entries() == tile.tlb.lru_entries()
+        assert_same_tile(ref, tile)
+        assert ref.tlb.invalidate_all() == tile.tlb.invalidate_all()
+        assert ref.tlb.lru_entries() == tile.tlb.lru_entries() == []
+        assert ref.tlb.stats == tile.tlb.stats
 
 
 @native
 class TestCachedAddressParity:
-    """Single-event ``access`` reuses ctypes addresses cached at construction.
+    """The kernels reuse the arena addresses ``cache_tab`` caches once.
 
-    Interleaving it with the multi-slice kernel (caches) and the
-    maintenance operations must leave the buffers it points at valid: every step is
-    checked against the reference model.
+    Interleaving one-event ``replay_events`` steps with the multi-slice
+    kernel and the maintenance operations must leave the buffers they
+    point at valid: every step is checked against the reference model.
     """
 
-    def test_cache_access_interleaved_with_batches(self):
-        from repro.arch.native import multi_slice_flags_wb
-
-        cfg = CacheConfig(1024, 2, 64)
-        ref = SetAssocCache(cfg, "ref")
-        nat = NativeCache(cfg, "nat")
+    def test_cache_access_interleaved_with_batches(self, tiles):
+        ref, tile = tiles
         rnd = random.Random(23)
+        span = line_span(ref)
 
         def batch():
-            lines = [rnd.randrange(64) for _ in range(rnd.randrange(1, 40))]
+            lines = [rnd.randrange(span) for _ in range(rnd.randrange(1, 40))]
             writes = [int(rnd.random() < 0.4) for _ in lines]
-            hits = [ref.access(line, w) for line, w in zip(lines, writes)]
+            hits = [ref.l1.access(line, w) for line, w in zip(lines, writes)]
             return np.asarray(lines, dtype=np.int64), np.asarray(writes, dtype=np.int8), hits
 
         for step in range(300):
-            line = rnd.randrange(64)
+            line = rnd.randrange(span)
             w = rnd.random() < 0.3
-            assert ref.access(line, w) == nat.access(line, w)
+            assert ref.step(line, w) == tile.step(line, w)
             op = step % 5
             if op == 1:
                 lines, writes, hits = batch()
-                flags = multi_slice_flags_wb([nat], [0, len(lines)], lines, writes)
+                flags = multi_slice_flags_wb([tile.l1], [0, len(lines)], lines, writes)
                 assert flags.astype(bool).tolist() == hits
             elif op == 2:
-                assert ref.invalidate_all() == nat.invalidate_all()
+                assert ref.l1.invalidate_all() == tile.l1.invalidate_all()
             elif op == 3:
-                assert ref.clean_all() == nat.clean_all()
+                assert ref.l2.clean_all() == tile.l2.clean_all()
             elif op == 4:
-                s = rnd.randrange(ref.n_sets)
-                assert ref.fill_set(s, step) == nat.fill_set(s, step)
-            assert ref.stats == nat.stats
-            assert (ref.valid_lines, ref.dirty_lines) == (nat.valid_lines, nat.dirty_lines)
-        for s in range(ref.n_sets):
-            assert ref._sets[s] == nat.set_entries(s)
+                base = rnd.randrange(span)
+                assert ref.l2.contains(base) == tile.l2.contains(base)
+                assert ref.l2.evict_line_range(base, PAGE_LINES) == (
+                    tile.l2.evict_line_range(base, PAGE_LINES)
+                )
+                assert not tile.l2.contains(base)
+            assert_same_tile(ref, tile)
 
-    def test_tlb_access_interleaved_with_maintenance(self):
-        cfg = TlbConfig(entries=8)
-        ref = Tlb(cfg, "ref")
-        nat = NativeTlb(cfg, "nat")
+    def test_tlb_access_interleaved_with_maintenance(self, tiles):
+        ref, tile = tiles
         rnd = random.Random(29)
         for step in range(400):
-            page = rnd.randrange(20)
-            assert ref.access(page) == nat.access(page)
+            line = rnd.randrange(20) * PAGE_LINES + rnd.randrange(PAGE_LINES)
+            assert ref.step(line, False) == tile.step(line, False)
             op = step % 4
             if op == 2:
-                assert ref.invalidate_all() == nat.invalidate_all()
+                assert ref.tlb.invalidate_all() == tile.tlb.invalidate_all()
             elif op == 3:
-                victim = rnd.randrange(20)
-                assert ref.invalidate_page(victim) == nat.invalidate_page(victim)
-            assert ref.lru_entries() == nat.lru_entries()
-            assert ref.stats == nat.stats
+                # A private purge: the core's L1 goes with its TLB.
+                assert ref.l1.invalidate_all() == tile.l1.invalidate_all()
+            assert ref.tlb.lru_entries() == tile.tlb.lru_entries()
+            assert ref.tlb.stats == tile.tlb.stats
+        assert_same_tile(ref, tile)
 
 
 @native
@@ -375,8 +416,6 @@ class TestReplayEventsParity:
     WALK, L2_LAT, DRAM = 50.0, 11.0, 108.0
 
     def test_one_segment_matches_reference(self):
-        from repro.arch.native import StateArena, replay_events
-
         l1_cfg, l2_cfg = CacheConfig(512, 2, 64), CacheConfig(2048, 4, 64)
         tlb_cfg = TlbConfig(entries=4)
         rnd = random.Random(31)
@@ -439,6 +478,6 @@ class TestReplayEventsParity:
             assert ref.stats == nat.stats
             assert (ref.valid_lines, ref.dirty_lines) == (nat.valid_lines, nat.dirty_lines)
             for s in range(ref.n_sets):
-                assert ref._sets[s] == nat.set_entries(s)
+                assert ref.set_entries(s) == nat.set_entries(s)
         assert ref_tlb.stats == tlb.stats
         assert ref_tlb.lru_entries() == tlb.lru_entries()

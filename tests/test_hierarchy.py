@@ -122,11 +122,11 @@ class TestHoming:
         assert evicted > 0
         assert all(int(hier.home_table[f]) == 3 for f in frames)
 
-    def test_frames_homed_in(self):
+    def test_home_table_lists_homed_frames(self):
         hier, ctx = make_env(slices=[4])
         hier.run_trace(ctx, seq_trace(4, stride=4096))
-        assert len(hier.frames_homed_in([4])) == 4
-        assert hier.frames_homed_in([5]) == []
+        assert np.count_nonzero(hier.home_table == 4) == 4
+        assert not (hier.home_table == 5).any()
 
 
 class TestHomeTable:

@@ -60,19 +60,6 @@ def backend(request, monkeypatch):
         clear_result_cache()
 
 
-def set_entries(cache, set_index):
-    """[tag, dirty] pairs MRU-first, whichever implementation."""
-    if hasattr(cache, "set_entries"):
-        return cache.set_entries(set_index)
-    return cache._sets[set_index]
-
-
-def tlb_entries(tlb):
-    if hasattr(tlb, "lru_entries"):
-        return tlb.lru_entries()
-    return [int(p) for p in tlb._entries]
-
-
 class EnginePair:
     """Two hierarchies fed identical inputs: by default scalar and vector."""
 
@@ -108,15 +95,15 @@ class EnginePair:
         l1s, l1v = hs.l1_for(cs.rep_core), hv.l1_for(cv.rep_core)
         assert l1s.stats == l1v.stats
         for s in range(l1s.n_sets):
-            assert set_entries(l1s, s) == set_entries(l1v, s)
+            assert l1s.set_entries(s) == l1v.set_entries(s)
         assert set(hs._l2) == set(hv._l2)
         for tile in hs._l2:
             a, b = hs._l2[tile], hv._l2[tile]
             assert a.stats == b.stats
             for s in range(a.n_sets):
-                assert set_entries(a, s) == set_entries(b, s)
-        assert tlb_entries(hs.tlb_for(cs.rep_core)) == tlb_entries(
-            hv.tlb_for(cv.rep_core)
+                assert a.set_entries(s) == b.set_entries(s)
+        assert hs.tlb_for(cs.rep_core).lru_entries() == (
+            hv.tlb_for(cv.rep_core).lru_entries()
         )
         assert (cs._replicated or set()) == (cv._replicated or set())
         assert [mc.stats for mc in hs.controllers] == [mc.stats for mc in hv.controllers]
@@ -564,10 +551,10 @@ class TestFusedKernelPaths:
             for key in ref:
                 assert ref[key].stats == got[key].stats, key
                 for s in range(ref[key].n_sets):
-                    assert set_entries(ref[key], s) == set_entries(got[key], s)
+                    assert ref[key].set_entries(s) == got[key].set_entries(s)
         for core in hs._tlb:
             assert hs._tlb[core].stats == hv._tlb[core].stats
-            assert tlb_entries(hs._tlb[core]) == tlb_entries(hv._tlb[core])
+            assert hs._tlb[core].lru_entries() == hv._tlb[core].lru_entries()
         assert cs[0]._replicated == cv[0]._replicated
         assert cv[0]._replicated and cv[0]._replicated is cv[1]._replicated
 
@@ -732,7 +719,7 @@ class TestPurgePathOccupancy:
         valid = 0
         dirty = 0
         for s in range(cache.n_sets):
-            entries = set_entries(cache, s)
+            entries = cache.set_entries(s)
             valid += len(entries)
             dirty += sum(1 for _, d in entries if d)
         return valid, dirty
@@ -757,7 +744,8 @@ class TestPurgePathOccupancy:
                 for hier, ctx in pair.sides:
                     self._assert_counters(hier, ctx)
                     assert hier.l1_for(ctx.rep_core).valid_lines == 0
-                    assert hier.l2_dirty_lines(ctx.slices) == 0
+                    l2 = hier._l2
+                    assert all(l2[t].dirty_lines == 0 for t in ctx.slices if t in l2)
 
     def test_counters_track_rehoming(self, backend, rng):
         pair = EnginePair()
@@ -843,7 +831,7 @@ class TestPurgePathOccupancy:
                 continue
             assert row[HITS] + row[MISSES] > 0 or row[FLUSHES] > 0, view.name
             if slot >= 2 * n_tiles:
-                assert view.occupancy <= view.config.entries
+                assert len(view.lru_entries()) <= view.config.entries
                 continue
             valid, dirty = self._recount(view)
             assert (view.valid_lines, view.dirty_lines) == (valid, dirty), view.name

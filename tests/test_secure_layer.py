@@ -131,7 +131,7 @@ class TestPurgeModel:
         config, hier, ctx = self._warm_hier()
         PurgeModel(config).purge(hier, [0], [0], [0])
         assert hier.l1_for(0).valid_lines == 0
-        assert hier.l2_dirty_lines([0]) == 0
+        assert hier.l2_slice(0).dirty_lines == 0
 
     def test_counters(self):
         config, hier, ctx = self._warm_hier()

@@ -287,7 +287,7 @@ class TestHygieneRules:
 # kernel ABI parity
 # ---------------------------------------------------------------------------
 
-#: A doctored native.py: l1_filter's first argument should be a pointer
+#: A doctored native.py: filter_probe's first argument should be a pointer
 #: but is declared c_int64, and stats_probe has the wrong arity and
 #: restype.
 _BROKEN_NATIVE = '''
@@ -297,7 +297,7 @@ _C_SOURCE = """
 typedef long long i64;
 typedef signed char i8;
 
-i64 l1_filter(const i64 *addrs, i64 n, i64 *out) {
+i64 filter_probe(const i64 *addrs, i64 n, i64 *out) {
     return n;
 }
 
@@ -314,8 +314,8 @@ def _load(path):
     lib = ctypes.CDLL(path)
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    lib.l1_filter.argtypes = [i64, i64, ptr]
-    lib.l1_filter.restype = i64
+    lib.filter_probe.argtypes = [i64, i64, ptr]
+    lib.filter_probe.restype = i64
     lib.stats_probe.argtypes = [ptr, i64]
     lib.stats_probe.restype = ptr
     return lib
@@ -327,8 +327,8 @@ class TestKernelAbi:
         src = SourceFile.from_text("src/repro/arch/native.py", _BROKEN_NATIVE)
         c_source = constant_str_assign(src.tree, "_C_SOURCE")
         protos = abi.parse_c_prototypes(c_source)
-        assert protos["l1_filter"].arg_kinds == ("ptr", "scalar", "ptr")
-        assert protos["l1_filter"].exported
+        assert protos["filter_probe"].arg_kinds == ("ptr", "scalar", "ptr")
+        assert protos["filter_probe"].exported
         assert not protos["helper"].exported
 
     def test_injected_argtype_mismatch_detected(self):
@@ -434,6 +434,46 @@ class TestKernelAbi:
     def test_repo_backend_parity_is_clean(self):
         ctx = RepoContext.scan(REPO)
         assert abi.check_backend_parity(ctx) == []
+        # Not vacuous: the references' per-event rule is what the views
+        # leave out, and everything else they share is compared.
+        cache_tree = ctx.file("src/repro/arch/cache.py").tree
+        native_tree = ctx.file("src/repro/arch/native.py").tree
+        assert "access" in abi.class_signatures(cache_tree, "SetAssocCache")
+        assert "access" not in abi.class_signatures(native_tree, "NativeCache")
+        assert "clean_all" in abi.class_signatures(native_tree, "NativeCache")
+
+    @pytest.mark.parametrize("old, new, flagged", [
+        # A maintenance method the purge paths call goes missing.
+        ("def clean_all(self)", "def _clean_all(self)",
+         "NativeCache is missing SetAssocCache.clean_all()"),
+        # The range eviction's parameters are renamed.
+        ("def evict_line_range(self, base_line:", "def evict_line_range(self, first:",
+         "NativeCache.evict_line_range(first, count) does not match"),
+        # The TLB view's LRU read goes missing.
+        ("def lru_entries(self)", "def _lru_entries(self)",
+         "NativeTlb is missing Tlb.lru_entries()"),
+        # A view's per-event access is no part of the contract.
+        ("    def set_entries(self, set_index: int)",
+         "    def access(self, line):\n        return False\n\n"
+         "    def set_entries(self, set_index: int)",
+         None),
+    ], ids=["missing-clean_all", "renamed-evict-params", "missing-lru_entries",
+            "access-ignored"])
+    def test_seeded_backend_parity(self, old, new, flagged):
+        """The rule on the repo's own sources with one seeded drift."""
+        rel = "src/repro/arch/native.py"
+        text = (REPO / rel).read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        files = [
+            SourceFile.from_text(r, (REPO / r).read_text(encoding="utf-8"))
+            for r in ("src/repro/arch/cache.py", "src/repro/arch/tlb.py")
+        ]
+        ctx = RepoContext(REPO, files + [SourceFile.from_text(rel, text.replace(old, new))])
+        messages = [f.message for f in abi.check_backend_parity(ctx)]
+        if flagged is None:
+            assert messages == []
+        else:
+            assert len(messages) == 1 and messages[0].startswith(flagged), messages
 
 
 # ---------------------------------------------------------------------------

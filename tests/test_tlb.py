@@ -23,7 +23,7 @@ class TestTlb:
         tlb = make_tlb(entries=4)
         for page in range(6):
             tlb.access(page)
-        assert tlb.occupancy == 4
+        assert len(tlb.lru_entries()) == 4
 
     def test_lru_eviction_order(self):
         tlb = make_tlb(entries=2)
@@ -31,24 +31,15 @@ class TestTlb:
         tlb.access(2)
         tlb.access(1)  # 1 becomes MRU
         tlb.access(3)  # evicts 2
-        assert 1 in tlb
-        assert 2 not in tlb
-        assert 3 in tlb
+        assert tlb.lru_entries() == [1, 3]
 
     def test_invalidate_all(self):
         tlb = make_tlb()
         tlb.access(1)
         tlb.access(2)
         assert tlb.invalidate_all() == 2
-        assert tlb.occupancy == 0
+        assert tlb.lru_entries() == []
         assert tlb.stats.flushes == 1
-
-    def test_invalidate_single_page(self):
-        tlb = make_tlb()
-        tlb.access(9)
-        assert tlb.invalidate_page(9) is True
-        assert tlb.invalidate_page(9) is False
-        assert 9 not in tlb
 
     def test_miss_rate(self):
         tlb = make_tlb()
@@ -63,8 +54,7 @@ class TestTlb:
         tlb = make_tlb(entries=8)
         for page in pages:
             tlb.access(page)
-        assert tlb.occupancy <= 8
-        assert tlb.occupancy == min(8, len(set(pages))) or tlb.occupancy <= 8
+        assert len(tlb.lru_entries()) == min(8, len(set(pages)))
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
